@@ -51,7 +51,6 @@ def test_fft_kernel_halves_dense_refresh_latency():
         results[name] = best_of(
             REPEATS,
             batched=True,
-            workers=1,
             classes=CLASSES,
             quiet_fraction=0.0,
             seed=SEED,

@@ -7,7 +7,7 @@ replays a many-class capture trace (:mod:`repro.apps.manyclass`) through
 the collector along both ingest paths:
 
 * ``per_record`` -- one :class:`CaptureRecord` at a time into the legacy
-  Python-list store (``columnar=False``).
+  Python-list store (:class:`repro.baselines.legacy.ListStoreCollector`).
 * ``batched``    -- per-(edge, side) timestamp arrays per flush interval
   into the chunked columnar store, as the engine's capture-sink drain
   delivers them.

@@ -1,17 +1,17 @@
-"""PERF -- process-sharded refresh vs the GIL-bound thread pool.
+"""PERF -- process-sharded refresh vs the serial refresh.
 
-The thread-pooled refresh only overlaps the numpy kernel interiors
-(those release the GIL); the Python halves of correlator upkeep and the
-pathmap DFS still serialize. Process sharding partitions whole
-correlator groups by service class across worker processes -- block
-shipment rides `multiprocessing.shared_memory`, so workers read the
-columnar arrays zero-copy -- and only the tiny per-shard pathmap
-partials cross back.
+Process sharding partitions whole correlator groups by service class
+across worker processes -- block shipment rides
+`multiprocessing.shared_memory`, so workers read the columnar arrays
+zero-copy -- and only the tiny per-shard pathmap partials cross back,
+so the Python halves of correlator upkeep and the pathmap DFS run in
+parallel too. (The removed thread-pool mode never beat serial: see
+docs/PERFORMANCE.md.)
 
 Gate: on the dense 40-class workload (every class active, correlate
 stage dominant) with >= 4 physical lanes, the process-sharded refresh's
-median latency beats threads by >= 2x. The comparison is meaningless on
-fewer cores (both degrade to time-slicing one CPU), so the gate skips
+median latency beats serial by >= 2x. The comparison is meaningless on
+fewer cores (the workers time-slice the same CPUs), so the gate skips
 there -- `tools/bench_shards.py` still records honest numbers with the
 core count attached.
 
@@ -43,13 +43,12 @@ pytestmark = pytest.mark.slow
 
 @pytest.mark.skipif(
     (os.cpu_count() or 1) < 4,
-    reason="process-over-threads speedup needs >= 4 cores to manifest",
+    reason="process-over-serial speedup needs >= 4 cores to manifest",
 )
-def test_processes_beat_threads_by_2x_on_dense_workload():
+def test_processes_beat_serial_by_2x_on_dense_workload():
     modes = {
-        "serial": dict(parallel="serial", workers=1, shards=1),
-        f"threads-{LANES}": dict(parallel="threads", workers=LANES, shards=1),
-        f"processes-{LANES}": dict(parallel="processes", workers=1, shards=LANES),
+        "serial": dict(shards=0),
+        f"processes-{LANES}": dict(shards=LANES),
     }
     results = {}
     for name, mode in modes.items():
@@ -71,12 +70,12 @@ def test_processes_beat_threads_by_2x_on_dense_workload():
     )
     write_result("shard_speedup.txt", table)
 
-    threads = results[f"threads-{LANES}"]["p50_seconds"]
+    serial = results["serial"]["p50_seconds"]
     procs = results[f"processes-{LANES}"]["p50_seconds"]
-    speedup = threads / procs
-    print(f"processes over threads: {speedup:.2f}x on {os.cpu_count()} cores")
+    speedup = serial / procs
+    print(f"processes over serial: {speedup:.2f}x on {os.cpu_count()} cores")
     assert speedup >= 2.0, (
         f"process sharding must halve the dense-workload refresh p50: "
-        f"threads={threads * 1000:.1f}ms processes={procs * 1000:.1f}ms "
+        f"serial={serial * 1000:.1f}ms processes={procs * 1000:.1f}ms "
         f"({speedup:.2f}x)"
     )

@@ -83,17 +83,21 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         help="spike threshold in std deviations (default 3)")
     parser.add_argument("--min-spike-height", type=float, default=0.0,
                         help="absolute spike floor (default 0: paper rule)")
+
+
+def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
+    """``--workers``: threads for a one-shot offline analysis."""
     parser.add_argument("--workers", type=int, default=1,
                         help="worker threads for per-class analysis "
                              "(default 1 = serial; results are identical)")
-    parser.add_argument("--parallel", default="auto",
-                        choices=["auto", "serial", "threads", "processes"],
-                        help="refresh execution mode (default auto: threads "
-                             "when --workers > 1, serial otherwise; results "
-                             "are bit-identical in every mode)")
+
+
+def _add_shards_argument(parser: argparse.ArgumentParser) -> None:
+    """``--shards``: worker processes for the online engine's refresh."""
     parser.add_argument("--shards", type=int, default=0,
-                        help="correlator shard processes for "
-                             "--parallel processes (default 0 = --workers)")
+                        help="worker processes for the online refresh "
+                             "(default 0 = serial; results are "
+                             "bit-identical at any count)")
 
 
 def _config_from(args: argparse.Namespace) -> PathmapConfig:
@@ -108,9 +112,6 @@ def _config_from(args: argparse.Namespace) -> PathmapConfig:
         max_transaction_delay=args.max_delay,
         spike_sigma=args.spike_sigma,
         min_spike_height=args.min_spike_height,
-        workers=getattr(args, "workers", 1),
-        parallel=getattr(args, "parallel", "auto"),
-        shards=getattr(args, "shards", 0),
     )
 
 
@@ -147,7 +148,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         collector.window(config, end_time=end),
         config,
         method=args.method,
-        workers=config.workers,
+        workers=args.workers,
     )
     if not result.graphs:
         print("no service graphs found in the window", file=sys.stderr)
@@ -191,7 +192,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
             collector.window(config, end_time=end),
             config,
             method=args.method,
-            workers=config.workers,
+            workers=args.workers,
         )
 
     before = analysis(args.before_end)
@@ -230,7 +231,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         collector.window(config, end_time=end),
         config,
         method=args.method,
-        workers=config.workers,
+        workers=args.workers,
     )
     if not result.graphs:
         print("no service graphs found in the window", file=sys.stderr)
@@ -310,7 +311,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             quantum=args.quantum,
             sampling_window=args.sampling_window or 50 * args.quantum,
             max_transaction_delay=args.max_delay,
-            workers=getattr(args, "workers", 1),
+            shards=args.shards,
         )
         from repro.core.engine import E2EProfEngine
 
@@ -357,6 +358,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         )
         engine.attach(rubis.topology)
         rubis.run_until(args.duration)
+        engine.detach()
         if capture_sink is not None:
             capture_sink.evict_expired()
             if lake is not None:
@@ -445,7 +447,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
             quantum=args.quantum,
             sampling_window=args.sampling_window or 50 * args.quantum,
             max_transaction_delay=args.max_delay,
-            workers=getattr(args, "workers", 1),
+            shards=args.shards,
         )
         rubis = build_rubis(dispatch="affinity", seed=args.seed)
         engine = E2EProfEngine(config, wire_fidelity=True)
@@ -455,6 +457,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
         LatencyMonitor().subscribe_to(engine)
         engine.attach(rubis.topology)
         rubis.run_until(args.duration)
+        engine.detach()
         if engine.latest_sample is None:
             raise E2EProfError(
                 f"no refresh fired: --duration {args.duration} is shorter "
@@ -545,9 +548,8 @@ def _demo_engine(args: argparse.Namespace):
         quantum=args.quantum,
         sampling_window=args.sampling_window or 50 * args.quantum,
         max_transaction_delay=args.max_delay,
-        workers=getattr(args, "workers", 1),
-        measured_dispatch=getattr(args, "measured_dispatch", False),
-        fft_dispatch=getattr(args, "fft_dispatch", "auto"),
+        shards=args.shards,
+        fft_dispatch=args.fft_dispatch,
     )
     rubis = build_rubis(dispatch="affinity", seed=args.seed)
     engine = E2EProfEngine(config, wire_fidelity=True)
@@ -593,6 +595,7 @@ def cmd_top(args: argparse.Namespace) -> int:
 
         engine.subscribe_metrics(redraw)
     rubis.run_until(args.duration)
+    engine.detach()
     _require_refresh(engine, args, config)
     frame = render_top(
         engine.ledger.history(args.last),
@@ -617,6 +620,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     rubis, engine, config = _demo_engine(args)
     rubis.run_until(args.duration)
+    engine.detach()
     _require_refresh(engine, args, config)
     if args.json:
         from repro.obs.ledger import CORRELATION_KERNELS
@@ -626,7 +630,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             "app": "rubis",
             "duration": args.duration,
             "fft_dispatch": engine.fft_dispatch,
-            "measured_dispatch": engine.measured_dispatch,
+            "shards": engine.shards,
             "refresh_interval": config.refresh_interval,
             "seed": args.seed,
             "window": config.window,
@@ -986,6 +990,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--format", default="ascii",
                          choices=["ascii", "dot", "json", "report", "summary"])
     _add_config_arguments(analyze)
+    _add_workers_argument(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
     diff = sub.add_parser(
@@ -1003,6 +1008,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--method", default="auto",
                       choices=["auto", "dense", "sparse", "rle", "fft"])
     _add_config_arguments(diff)
+    _add_workers_argument(diff)
     diff.set_defaults(func=cmd_diff)
 
     render = sub.add_parser("render", help="render service graphs as SVG")
@@ -1018,6 +1024,7 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument("--method", default="auto",
                         choices=["auto", "dense", "sparse", "rle", "fft"])
     _add_config_arguments(render)
+    _add_workers_argument(render)
     render.set_defaults(func=cmd_render)
 
     skew = sub.add_parser("skew", help="estimate clock skew across an edge")
@@ -1080,6 +1087,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "chunks to a trace lake at DIR and report lake "
                             "statistics (segments, bytes, mapping hit rate)")
     _add_config_arguments(stats)
+    _add_shards_argument(stats)
     stats.set_defaults(func=cmd_stats)
 
     timeline = sub.add_parser(
@@ -1112,6 +1120,7 @@ def build_parser() -> argparse.ArgumentParser:
     timeline.add_argument("--duration", type=float, default=65.0,
                           help="demo-mode simulated seconds (default 65)")
     _add_config_arguments(timeline)
+    _add_shards_argument(timeline)
     timeline.set_defaults(func=cmd_timeline)
 
     top = sub.add_parser(
@@ -1130,15 +1139,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="demo-mode simulation seed")
     top.add_argument("--duration", type=float, default=185.0,
                      help="demo-mode simulated seconds (default 185)")
-    top.add_argument("--measured-dispatch", action="store_true",
-                     help="drive kernel dispatch from measured ns/unit "
-                          "EWMAs instead of the modeled cost constant")
     top.add_argument("--fft-dispatch", default="auto",
                      choices=("auto", "off", "force"),
                      help="FFT batch kernel routing: auto (cost model "
                           "decides), off (direct kernels only), force "
                           "(every batched row through the FFT kernel)")
     _add_config_arguments(top)
+    _add_shards_argument(top)
     top.set_defaults(func=cmd_top)
 
     profile = sub.add_parser(
@@ -1157,15 +1164,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="demo-mode simulation seed")
     profile.add_argument("--duration", type=float, default=185.0,
                          help="demo-mode simulated seconds (default 185)")
-    profile.add_argument("--measured-dispatch", action="store_true",
-                         help="drive kernel dispatch from measured ns/unit "
-                              "EWMAs instead of the modeled cost constant")
     profile.add_argument("--fft-dispatch", default="auto",
                          choices=("auto", "off", "force"),
                          help="FFT batch kernel routing: auto (cost model "
                               "decides), off (direct kernels only), force "
                               "(every batched row through the FFT kernel)")
     _add_config_arguments(profile)
+    _add_shards_argument(profile)
     profile.set_defaults(func=cmd_profile)
 
     scenarios = sub.add_parser(

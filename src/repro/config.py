@@ -79,22 +79,13 @@ class PathmapConfig:
     #: removes them without touching real spikes (typically > 0.3).
     #: 0.0 keeps the paper's exact rule.
     min_spike_height: float = 0.0
-    #: Worker threads for the refresh/analysis fan-out (paper Section 3.7:
-    #: the service graph of each client node can be computed in parallel).
-    #: 1 = fully serial; > 1 shards the per-class pathmap DFS and the
-    #: engine's reference-grouped correlator updates across a thread pool.
-    #: Results are identical to serial either way.
-    workers: int = 1
-    #: Refresh parallelism mode: ``"serial"`` (one thread), ``"threads"``
-    #: (a ``workers``-wide thread pool; GIL-bound outside the numpy
-    #: kernels), ``"processes"`` (consistent-hash sharded worker
-    #: *processes* reading blocks over shared memory -- see
-    #: :mod:`repro.core.shards`) or ``"auto"`` (the default:
-    #: ``threads`` when ``workers > 1``, else ``serial``). Every mode is
-    #: bit-identical to serial; only the wall-clock cost changes.
-    parallel: str = "auto"
-    #: Worker-process count for ``parallel="processes"``. 0 (the
-    #: default) falls back to ``workers``.
+    #: Online refresh parallelism (paper Section 3.7: the service graph
+    #: of each client node can be computed in parallel). 0 (the default)
+    #: runs every refresh serially in-process; N >= 1 partitions the
+    #: service classes across N consistent-hash sharded worker
+    #: *processes* reading blocks over shared memory (see
+    #: :mod:`repro.core.shards`). Results are bit-identical to serial at
+    #: any setting; only the wall-clock cost changes.
     shards: int = 0
     #: Trace retention horizon in seconds for bounded-memory collectors
     #: (see :attr:`retention_horizon`). None picks the analysis-safe
@@ -102,17 +93,10 @@ class PathmapConfig:
     #: must cover at least one window plus the transaction delay bound,
     #: or the retained trace could not serve a full analysis window.
     retention: float | None = None
-    #: Drive the sparse-vs-RLE kernel dispatch from the refresh ledger's
-    #: *measured* per-kernel cost EWMAs instead of the modeled cost
-    #: constant. Output is bit-identical either way (both kernels produce
-    #: the same lag products); only which kernel runs may differ. Falls
-    #: back to the modeled rule until both kernel EWMAs have warmed up.
-    measured_dispatch: bool = False
     #: Dense-regime FFT batch kernel routing. ``"auto"`` (the default)
     #: lets the density dispatch send rows whose direct-kernel cost
-    #: exceeds the FFT transform cost to the batched FFT kernel (modeled
-    #: frontier by default; measured ns/unit frontier once
-    #: ``measured_dispatch`` EWMAs warm). ``"off"`` never uses the FFT
+    #: exceeds the modeled FFT transform cost to the batched FFT kernel.
+    #: ``"off"`` never uses the FFT
     #: kernel (every row keeps the bit-exact direct kernels -- also the
     #: A/B baseline for benchmarks). ``"force"`` routes every batchable
     #: row through the FFT kernel regardless of density (equivalence
@@ -162,13 +146,6 @@ class PathmapConfig:
         if not 0.0 <= self.min_spike_height < 1.0:
             raise ConfigError(
                 f"min_spike_height must be in [0, 1), got {self.min_spike_height}"
-            )
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.parallel not in ("auto", "serial", "threads", "processes"):
-            raise ConfigError(
-                "parallel must be one of auto/serial/threads/processes, "
-                f"got {self.parallel!r}"
             )
         if self.shards < 0:
             raise ConfigError(f"shards must be >= 0, got {self.shards}")
@@ -341,7 +318,7 @@ class LakeConfig:
     #: Open segment mappings kept by the read path's LRU.
     mapping_cache: int = 64
     #: Persist materialized correlation summaries at correlator-eviction
-    #: time (serial/threads engines only; the raw spill tier is
+    #: time (serial engines only; the raw spill tier is
     #: mode-independent).
     summaries: bool = True
 

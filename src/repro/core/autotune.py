@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
@@ -288,16 +288,6 @@ def observed_delay_bound(graph: object) -> Optional[float]:
         if bound is None or edge.max_delay > bound:
             bound = edge.max_delay
     return bound
-
-
-def recommend_for_classes(
-    base: PathmapConfig, stats_by_class: Dict[object, TrafficStats]
-) -> Dict[object, PathmapConfig]:
-    """Per-class tuned configs (one :func:`autotune_config` each)."""
-    return {
-        key: autotune_config(base, stats)
-        for key, stats in stats_by_class.items()
-    }
 
 
 class AdaptiveController:

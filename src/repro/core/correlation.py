@@ -88,12 +88,6 @@ class CorrelationSeries:
         """Lag axis converted to seconds."""
         return self.lags * self.quantum
 
-    def mean(self) -> float:
-        return float(self.values.mean()) if self.values.size else 0.0
-
-    def std(self) -> float:
-        return float(self.values.std()) if self.values.size else 0.0
-
 
 def _as_sparse(series: SeriesLike) -> DensityTimeSeries:
     if isinstance(series, RunLengthSeries):
@@ -214,8 +208,6 @@ _PAIR_CHUNK = 1 << 20
 #: Modeled cost ratio of the density dispatch rule: one RLE run pair is
 #: assumed ~4x the cost of one expected sparse sample pair, so a row goes
 #: to the sparse batch kernel when ``sparse_units <= 4 * rle_units``.
-#: The refresh ledger's measured per-unit EWMAs replace this constant
-#: when ``PathmapConfig.measured_dispatch`` is on.
 MODELED_RLE_COST_RATIO = 4.0
 
 
@@ -238,29 +230,20 @@ def rle_dispatch_units(x_runs: int, y_runs: int) -> float:
 #: Modeled cost ratio of the FFT frontier: one FFT dispatch unit
 #: (roughly one butterfly of the row's transforms, ``size * log2(size)``
 #: units per row) is assumed to cost about the same as one expected
-#: sparse sample pair.  Calibrated against this container's measured
-#: ns/unit EWMAs; the refresh ledger replaces it under
-#: ``PathmapConfig.measured_dispatch`` once the FFT EWMA warms up.
+#: sparse sample pair.  Calibrated against the refresh ledger's measured
+#: ns/unit EWMAs.
 MODELED_FFT_COST_RATIO = 1.0
 
 
-def choose_sparse_kernel(
-    sparse_units: float,
-    rle_units: float,
-    ns_sparse: "float | None" = None,
-    ns_rle: "float | None" = None,
-) -> bool:
+def choose_sparse_kernel(sparse_units: float, rle_units: float) -> bool:
     """The density dispatch rule: sparse batch (True) or RLE (False).
 
-    A pure function of the unit estimates (and, when both are given, the
-    measured per-unit costs from the refresh ledger's EWMAs), so every
-    caller -- grouped appends, history replays, thread workers and shard
-    worker processes -- makes the identical choice for identical blocks.
-    Both kernels produce bitwise-identical lag products, so the choice
-    never changes analysis output, only where the time goes.
+    A pure function of the unit estimates, so every caller -- grouped
+    appends, history replays and shard worker processes -- makes the
+    identical choice for identical blocks. Both kernels produce
+    bitwise-identical lag products, so the choice never changes analysis
+    output, only where the time goes.
     """
-    if ns_sparse is not None and ns_rle is not None:
-        return sparse_units * ns_sparse <= rle_units * ns_rle
     return sparse_units <= MODELED_RLE_COST_RATIO * rle_units
 
 
@@ -268,29 +251,20 @@ def choose_batch_kernel(
     sparse_units: float,
     rle_units: float,
     fft_units: "float | None" = None,
-    ns_sparse: "float | None" = None,
-    ns_rle: "float | None" = None,
-    ns_fft: "float | None" = None,
 ) -> str:
     """Three-way density dispatch: ``"sparse"``, ``"rle"`` or ``"fft"``.
 
     Extends :func:`choose_sparse_kernel` with the dense-regime FFT batch
-    kernel.  Like the two-way rule it is a pure function of its inputs,
-    so every host (serial engine, thread workers, shard processes) routes
-    identical blocks to the identical kernel.  The measured FFT frontier
-    is used only when all three per-unit EWMAs are warm; until then the
-    modeled constants (:data:`MODELED_RLE_COST_RATIO`,
-    :data:`MODELED_FFT_COST_RATIO`) decide.  Ties go to the direct
-    kernels: their lag products are bit-exact, the FFT kernel's agree
-    only to float tolerance (see ``docs/PERFORMANCE.md``).
+    kernel.  Like the two-way rule it is a pure function of its inputs
+    and the modeled constants (:data:`MODELED_RLE_COST_RATIO`,
+    :data:`MODELED_FFT_COST_RATIO`), so every host (serial engine, shard
+    processes) routes identical blocks to the identical kernel.  Ties go
+    to the direct kernels: their lag products are bit-exact, the FFT
+    kernel's agree only to float tolerance (see ``docs/PERFORMANCE.md``).
     """
-    sparse_wins = choose_sparse_kernel(sparse_units, rle_units, ns_sparse, ns_rle)
-    direct = "sparse" if sparse_wins else "rle"
+    direct = "sparse" if choose_sparse_kernel(sparse_units, rle_units) else "rle"
     if fft_units is None:
         return direct
-    if ns_sparse is not None and ns_rle is not None and ns_fft is not None:
-        direct_cost = sparse_units * ns_sparse if sparse_wins else rle_units * ns_rle
-        return "fft" if fft_units * ns_fft < direct_cost else direct
     direct_cost = min(sparse_units, MODELED_RLE_COST_RATIO * rle_units)
     return "fft" if MODELED_FFT_COST_RATIO * fft_units < direct_cost else direct
 
@@ -701,10 +675,7 @@ class SpectrumCache:
     while its spectrum is alive.  Spectra are always computed by a single
     1-D ``rfft`` -- a pure function of (block contents, size) -- so a hit
     returns the bitwise-identical array a recompute would produce and
-    caching can never change analysis output.  Under the thread-pooled
-    engine two workers may race to fill the same entry; the loser's
-    write replaces the winner's with a bitwise-equal array, so the race
-    is benign.
+    caching can never change analysis output.
 
     ``evict_before`` drops entries whose block slid out of the retained
     window; the engine calls it once per refresh, bounding resident
@@ -770,9 +741,6 @@ class SpectrumCache:
         for key in stale:
             del self._entries[key]
         return len(stale)
-
-    def clear(self) -> None:
-        self._entries.clear()
 
 
 def fft_batch_lag_products(

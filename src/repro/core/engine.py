@@ -22,9 +22,7 @@ settings), which is negligible against ``dW``.
 
 from __future__ import annotations
 
-import concurrent.futures
 import logging
-import threading
 import time
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Set, Tuple
 
@@ -40,7 +38,7 @@ from repro.lake.summaries import BlockSummary
 from repro.core.pathmap import Pathmap, PathmapResult, PathmapStats, class_pairs
 from repro.core.rle import RunLengthSeries
 from repro.core.stages import HostWindow, PipelineCore
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConfigError
 from repro.obs.events import (
     EVENT_DEGRADED_REFRESH,
     EVENT_LOW_CONFIDENCE,
@@ -72,7 +70,6 @@ from repro.tracing.collector import TraceCollector
 from repro.tracing.records import NodeId
 from repro.tracing.transport import (
     QUALITY_DEGRADED,
-    QUALITY_FRESH,
     QUALITY_STALE,
     TRACER_DEAD,
     TRACER_LAGGING,
@@ -102,19 +99,15 @@ class E2EProfEngine(PipelineCore):
 
     The refresh is an explicit four-stage pipeline -- **ingest ->
     correlate -> DFS -> publish**, the exact stage names of the refresh
-    ledger -- and the middle stages run in one of three execution modes
-    (``parallel``), every one of which produces bit-identical results:
+    ledger. ``shards`` picks where the middle stages run; both settings
+    produce bit-identical results:
 
-    ``"serial"``
-        Everything on the calling thread.
-    ``"threads"``
-        Correlator append groups and the per-class DFS fan out over a
-        ``workers``-wide thread pool (GIL-bound outside the numpy
-        kernels).
-    ``"processes"``
-        Service classes are partitioned across ``shards`` worker
-        *processes* by a consistent-hash shard map; fresh blocks ship
-        zero-copy via shared memory and per-shard partial pathmaps merge
+    ``shards=0``
+        Everything in-process, serially (the default).
+    ``shards=N >= 1``
+        Service classes are partitioned across ``N`` worker *processes*
+        by a consistent-hash shard map; fresh blocks ship zero-copy via
+        shared memory and per-shard partial pathmaps merge
         deterministically (:mod:`repro.core.shards`).
     """
 
@@ -129,45 +122,21 @@ class E2EProfEngine(PipelineCore):
         flight_capacity: int = DEFAULT_FLIGHT_CAPACITY,
         transport: Optional[TransportConfig] = None,
         channel_factory: Optional[Callable[[NodeId], FaultyChannel]] = None,
-        workers: Optional[int] = None,
-        batched: bool = True,
         capture_sink: Optional[TraceCollector] = None,
         lake: Optional["TraceLake"] = None,
         adaptive: bool = False,
         ledger: bool = True,
-        measured_dispatch: Optional[bool] = None,
         fft_dispatch: Optional[str] = None,
-        parallel: Optional[str] = None,
         shards: Optional[int] = None,
     ) -> None:
         self.config = config
         self._clients: Set[NodeId] = set(clients or ())
-        #: Worker threads for refresh work (correlator append groups + the
-        #: per-class pathmap DFS). Defaults to ``config.workers``; results
-        #: are bit-identical to serial at any setting.
-        self.workers = int(workers) if workers is not None else config.workers
-        if self.workers < 1:
-            raise AnalysisError(f"workers must be >= 1, got {self.workers}")
-        #: Execution mode of the correlate/DFS stages (see class
-        #: docstring). ``"auto"`` resolves to threads when ``workers > 1``
-        #: and serial otherwise, preserving the pre-``parallel`` behavior.
-        self.parallel = parallel if parallel is not None else config.parallel
-        if self.parallel == "auto":
-            self.parallel = "threads" if self.workers > 1 else "serial"
-        if self.parallel not in ("serial", "threads", "processes"):
-            raise AnalysisError(
-                "parallel must be one of serial/threads/processes, "
-                f"got {self.parallel!r}"
-            )
-        #: Worker process count for ``parallel="processes"``. Defaults to
-        #: ``config.shards``, falling back to ``workers``.
-        self.shards = int(shards) if shards is not None else (config.shards or self.workers)
-        if self.shards < 1:
-            raise AnalysisError(f"shards must be >= 1, got {self.shards}")
-        # Thread fan-out inside this process: only the threads mode
-        # shards refresh work across the pool.
-        self._thread_workers = self.workers if self.parallel == "threads" else 1
-        # Parent-side shard fleet (processes mode; created at attach).
+        #: Worker process count for the correlate/DFS stages (0 = serial
+        #: in-process). Defaults to ``config.shards``.
+        self.shards = int(shards) if shards is not None else config.shards
+        if self.shards < 0:
+            raise ConfigError(f"shards must be >= 0, got {self.shards}")
+        # Parent-side shard fleet (shards >= 1; created at attach).
         self._sharded = None
         # (shard, owned class pairs) dropped from the latest refresh
         # because the shard's worker died mid-refresh.
@@ -176,11 +145,6 @@ class E2EProfEngine(PipelineCore):
         # and their per-shard partition (processes mode bookkeeping).
         self._dispatch_pair_order: List[RefKey] = []
         self._dispatch_pairs: Dict[int, List[RefKey]] = {}
-        #: When True (default), correlator updates use reference-grouped
-        #: :func:`~repro.core.correlation.batch_lag_products` kernels with
-        #: quiet-edge skipping and correlation memoization. False restores
-        #: the legacy one-kernel-per-pair refresh (the benchmark baseline).
-        self.batched = bool(batched)
         #: Always-on refresh cost ledger (:mod:`repro.obs.ledger`): one
         #: :class:`RefreshLedger` per refresh with per-stage wall times
         #: and per-kernel measured costs, attached to every result.
@@ -189,15 +153,6 @@ class E2EProfEngine(PipelineCore):
         self.ledger = LedgerRecorder(enabled=ledger)
         #: The most recent refresh's ledger (None before the first).
         self.latest_ledger: Optional[RefreshLedger] = None
-        #: When True, sparse-vs-RLE kernel dispatch compares predicted
-        #: kernel times from the ledger's measured per-unit cost EWMAs
-        #: instead of the modeled constant. Output is bit-identical
-        #: either way. Defaults to ``config.measured_dispatch``.
-        self.measured_dispatch = (
-            bool(measured_dispatch)
-            if measured_dispatch is not None
-            else config.measured_dispatch
-        )
         #: Dense-regime FFT batch kernel routing (``"auto"`` / ``"off"``
         #: / ``"force"``; see :attr:`PathmapConfig.fft_dispatch`).
         #: Defaults to ``config.fft_dispatch``.
@@ -212,10 +167,6 @@ class E2EProfEngine(PipelineCore):
         # Cross-refresh cache of block FFT spectra (the overlap-add
         # increment: only the newest dW block needs a fresh transform).
         self._spectra = SpectrumCache()
-        self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
-        # Guards the plain-int per-refresh tallies below when provider
-        # callbacks run on pool threads (workers > 1).
-        self._tally_lock = threading.Lock()
         #: When True, every streamed block is round-tripped through the
         #: binary wire format (tracing.wire) before analysis -- proving
         #: the bytes actually sent over the network carry everything the
@@ -367,10 +318,10 @@ class E2EProfEngine(PipelineCore):
         if lake is not None and capture_sink is not None and capture_sink.lake is None:
             capture_sink.lake = lake
         # Summaries ride the in-process correlators' eviction hooks;
-        # processes-mode correlators live in shard workers without lake
-        # access, so summary capture is serial/threads-only (the raw
-        # spill path is mode-independent).
-        self._lake_summaries = lake is not None and self.parallel != "processes"
+        # sharded correlators live in worker processes without lake
+        # access, so summary capture is serial-only (the raw spill path
+        # is mode-independent).
+        self._lake_summaries = lake is not None and self.shards == 0
         self._lake_segments_synced = 0 if lake is None else lake.segments_written
         #: Fault-tolerant transport (None = legacy direct pull). When set,
         #: every block travels tracer -> TransportLink -> channel ->
@@ -487,13 +438,7 @@ class E2EProfEngine(PipelineCore):
         # Anchor block boundaries one sampling window behind the wall
         # clock so flushed blocks are complete (see module docstring).
         self._base_quantum = int(round(begin / tau)) - self.config.sampling_quanta
-        if self._thread_workers > 1 and self._pool is None:
-            # One pool for the engine's whole attached lifetime: spawning
-            # threads per refresh would dwarf the work they shard.
-            self._pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self._thread_workers, thread_name_prefix="e2eprof-refresh"
-            )
-        if self.parallel == "processes" and self._sharded is None:
+        if self.shards > 0 and self._sharded is None:
             # The fleet manager spawns/respawns workers lazily at the top
             # of each refresh's correlate stage (ensure_workers).
             from repro.core.shards import ShardedAnalysis
@@ -511,31 +456,30 @@ class E2EProfEngine(PipelineCore):
             self._task.cancel()
             self._task = None
         self._topology = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         if self._sharded is not None:
             self._sharded.close()
             self._sharded = None
 
     def close(self) -> None:
         """Release every runtime resource the engine holds: the refresh
-        task, the thread pool, the shard worker processes and all
-        shared-memory segments. Idempotent; safe to call whether or not
-        the engine was ever attached (``detach`` already is both, this
-        alias just names the teardown contract explicitly)."""
+        task, the shard worker processes and all shared-memory segments.
+        Idempotent; safe to call whether or not the engine was ever
+        attached (``detach`` already is both, this alias just names the
+        teardown contract explicitly)."""
         self.detach()
         if self.lake is not None:
             self.lake.flush()
 
     def reshard(self, shards: int) -> None:
         """Rebalance the process fleet to ``shards`` workers at the next
-        refresh boundary (``parallel="processes"`` only; a no-op count
-        change otherwise). Consistent hashing moves only ~1/N of the
+        refresh boundary (sharded engines only: a serial engine cannot
+        become sharded mid-run). Consistent hashing moves only ~1/N of the
         service classes per step, and moved classes rebuild their
         correlators bit-identically from mirrored block history."""
         if shards < 1:
             raise AnalysisError(f"shards must be >= 1, got {shards}")
+        if self.shards == 0:
+            raise AnalysisError("reshard needs an engine built with shards >= 1")
         self.shards = int(shards)
         if self._sharded is not None:
             self._sharded.reshard(self.shards)
@@ -709,8 +653,8 @@ class E2EProfEngine(PipelineCore):
         """**Stage 2 -- correlate**: store/patch block history and bring
         every incremental correlator up to date.
 
-        Serial and thread modes append in-process (the thread pool fans
-        out per reference group). Processes mode first heals the fleet
+        Serial engines append in-process. Sharded engines first heal the
+        fleet
         -- dead shards respawn from the *pre-store* mirrored history, so
         they ingest this refresh like everyone else -- then stores
         locally (the parent's mirror feeds confidence/quality grading
@@ -773,18 +717,15 @@ class E2EProfEngine(PipelineCore):
     def _stage_dfs(self, now: float) -> Tuple[PathmapResult, float]:
         """**Stage 3 -- DFS**: recompute every service class's graph.
 
-        Serial/thread modes run the pathmap DFS in-process. Processes
-        mode collects each shard's partial pathmap and merges the
+        Serial engines run the pathmap DFS in-process. Sharded engines
+        collect each shard's partial pathmap and merges the
         disjoint per-class results deterministically."""
         pathmap_started = time.perf_counter()
         with self.tracer.span("engine.pathmap"):
             if self._sharded is not None:
                 result = self._merge_shard_partials(now)
             else:
-                window = HostWindow(self)
-                result = self._pathmap.analyze(
-                    window, workers=self._thread_workers, executor=self._pool
-                )
+                result = self._pathmap.analyze(HostWindow(self))
         pathmap_seconds = time.perf_counter() - pathmap_started
         self.ledger.record_stage(
             STAGE_DFS, pathmap_seconds, result.stats.correlations
@@ -1321,8 +1262,8 @@ class E2EProfEngine(PipelineCore):
 
     def _apply_confidence(self, result: PathmapResult, now: float) -> None:
         """Grade every service class's reference signal against the
-        steady-state assumption and annotate the result. Runs serially
-        after the DFS, so ``workers`` never affects the verdicts."""
+        steady-state assumption and annotate the result. Runs in the
+        parent after the DFS, so ``shards`` never affects the verdicts."""
         reports: Dict[RefKey, ConfidenceReport] = {}
         for class_key in self._class_reference_edges():
             reports[class_key] = window_confidence(

@@ -157,12 +157,6 @@ class PathmapResult:
             if report is not None:
                 graph.confidence = report
 
-    def low_confidence_classes(
-        self,
-    ) -> Dict[Tuple[NodeId, NodeId], "ConfidenceReport"]:
-        """Classes whose window violated the steady-state assumption."""
-        return {k: r for k, r in self.class_confidence.items() if not r.ok}
-
     def annotate_quality(
         self,
         edge_quality: Dict[Tuple[NodeId, NodeId], "DataQuality"],
@@ -283,7 +277,6 @@ class Pathmap:
         self,
         window: TraceWindow,
         workers: int = 1,
-        executor: Optional[concurrent.futures.Executor] = None,
         pairs: Optional[List[Tuple[NodeId, NodeId]]] = None,
     ) -> PathmapResult:
         """Compute the service graphs of every service class in ``window``.
@@ -293,10 +286,9 @@ class Pathmap:
         pathmap algorithm can easily be made more scalable by parallely
         computing the service graph of each client node"). The numpy
         correlation kernels release the GIL, so threads give real
-        speedup; results are identical to the serial order. Passing a
-        persistent ``executor`` (the online engine keeps one across its
-        whole attach/detach lifetime) avoids re-spawning a pool on every
-        refresh.
+        speedup on one-shot offline analyses; results are identical to
+        the serial order. (The online engine scales with worker
+        processes instead: see :mod:`repro.core.shards`.)
 
         ``pairs`` restricts the pass to an explicit subset of
         ``(client, root)`` service classes -- how a shard worker process
@@ -335,11 +327,8 @@ class Pathmap:
 
         graphs: Dict[Tuple[NodeId, NodeId], ServiceGraph] = {}
         if workers > 1 and len(pairs) > 1:
-            if executor is not None:
-                outcomes = list(executor.map(analyze_pair, pairs))
-            else:
-                with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                    outcomes = list(pool.map(analyze_pair, pairs))
+            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(analyze_pair, pairs))
         else:
             outcomes = [analyze_pair(pair) for pair in pairs]
         for pair, graph, local in outcomes:

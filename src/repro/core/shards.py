@@ -1,6 +1,6 @@
 """Process-parallel correlate/DFS sharding for the online engine.
 
-``parallel="processes"`` scales the refresh past the GIL: the engine
+``shards=N >= 1`` scales the refresh past the GIL: the engine
 partitions its **service classes** -- the ``(client, front_end)`` pairs
 that key both the reference-grouped correlator batches and the pathmap
 DFS loop -- across worker *processes* with a consistent-hash shard map,
@@ -41,7 +41,6 @@ import dataclasses
 import hashlib
 import logging
 import multiprocessing
-import threading
 import time
 import traceback
 from bisect import bisect_right
@@ -51,7 +50,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.config import PathmapConfig
-from repro.core.pathmap import Pathmap, class_pairs
+from repro.core.pathmap import Pathmap
 from repro.core.correlation import SpectrumCache
 from repro.core.rle import RunLengthSeries
 from repro.core.stages import EdgeKey, HostWindow, PipelineCore, RefKey
@@ -332,8 +331,6 @@ class ShardWorkerState(PipelineCore):
     def __init__(self, spec: dict) -> None:
         self.config: PathmapConfig = spec["config"]
         self._clients: Set[object] = set(spec["clients"])
-        self.batched: bool = spec["batched"]
-        self.measured_dispatch: bool = spec["measured_dispatch"]
         self.fft_dispatch: str = spec["fft_dispatch"]
         self._spectra = SpectrumCache()
         self.metrics = MetricsRegistry(enabled=spec["metrics_enabled"])
@@ -341,7 +338,6 @@ class ShardWorkerState(PipelineCore):
         self.ledger = LedgerRecorder(enabled=spec["ledger_enabled"])
         self.shard: int = spec["shard"]
         self.map = ShardMap(spec["num_shards"])
-        self._pool = None
         self._num_blocks: int = spec["num_blocks"]
         self._block_quanta: int = spec["block_quanta"]
         self._refreshes: int = spec["refreshes"]
@@ -352,7 +348,6 @@ class ShardWorkerState(PipelineCore):
             for edge, docs in spec["history"].items()
         }
         self._correlators: Dict[Tuple[RefKey, EdgeKey], object] = {}
-        self._tally_lock = threading.Lock()
         self._refresh_cache_hits = 0
         self._refresh_cache_misses = 0
         self._refresh_skips = 0
@@ -422,11 +417,10 @@ class ShardWorkerState(PipelineCore):
         correlate_seconds = time.perf_counter() - correlate_started
         dfs_started = time.perf_counter()
         window = HostWindow(self)
-        result = self._pathmap.analyze(window, workers=1, pairs=pairs)
+        result = self._pathmap.analyze(window, pairs=pairs)
         dfs_seconds = time.perf_counter() - dfs_started
         kernels = self.ledger.kernel_tallies()
-        # Completing the worker ledger warms its kernel-cost EWMAs, so
-        # measured dispatch keeps adapting inside each shard.
+        # Completing the worker ledger warms its kernel-cost EWMAs.
         self.ledger.complete(
             msg["now"],
             self._refreshes - 1,
@@ -629,8 +623,6 @@ class ShardedAnalysis:
         spec = {
             "config": engine.config,
             "clients": set(engine._clients),
-            "batched": engine.batched,
-            "measured_dispatch": engine.measured_dispatch,
             "fft_dispatch": engine.fft_dispatch,
             "metrics_enabled": engine.metrics.enabled,
             "ledger_enabled": engine.ledger.enabled,

@@ -10,11 +10,11 @@ and the kernels that append fresh blocks into those correlators.
 That bundle lives here, as :class:`PipelineCore` -- a mixin hosted by
 two different owners:
 
-* :class:`repro.core.engine.E2EProfEngine` itself (serial and thread
-  modes run everything in-process), and
+* :class:`repro.core.engine.E2EProfEngine` itself (``shards=0`` runs
+  everything in-process), and
 * :class:`repro.core.shards.ShardWorkerState`, the per-process state of
-  one consistent-hash shard under ``parallel="processes"`` -- every
-  worker mirrors the full block history (blocks arrive zero-copy via
+  one consistent-hash shard under ``shards >= 1`` -- every worker
+  mirrors the full block history (blocks arrive zero-copy via
   shared memory) but maintains correlators only for its owned service
   classes.
 
@@ -28,15 +28,14 @@ Host contract (attributes every :class:`PipelineCore` host provides):
 ``config`` (:class:`~repro.config.PathmapConfig`), ``metrics``
 (:class:`~repro.obs.registry.MetricsRegistry`), ``tracer``
 (:class:`~repro.obs.spans.SpanTracer`), ``ledger``
-(:class:`~repro.obs.ledger.LedgerRecorder`), ``batched`` /
-``measured_dispatch`` (bools), ``fft_dispatch`` (``"auto"`` / ``"off"``
-/ ``"force"``), ``_spectra`` (a
+(:class:`~repro.obs.ledger.LedgerRecorder`), ``fft_dispatch``
+(``"auto"`` / ``"off"`` / ``"force"``), ``_spectra`` (a
 :class:`~repro.core.correlation.SpectrumCache` of block FFT spectra),
-``_pool`` (optional thread executor), ``_clients`` (set of client node
-ids), ``_blocks`` / ``_correlators`` (the window state),
-``_num_blocks`` / ``_block_quanta`` / ``_refreshes`` (window geometry),
-``_tally_lock`` plus the per-refresh ``_refresh_*`` tallies, and the
-``_m_batch`` / ``_m_cache_hits`` / ``_m_cache_misses`` instruments.
+``_clients`` (set of client node ids), ``_blocks`` / ``_correlators``
+(the window state), ``_num_blocks`` / ``_block_quanta`` /
+``_refreshes`` (window geometry), the per-refresh ``_refresh_*``
+tallies, and the ``_m_batch`` / ``_m_cache_hits`` /
+``_m_cache_misses`` instruments.
 """
 
 from __future__ import annotations
@@ -184,9 +183,6 @@ class PipelineCore:
     # -- correlate stage -------------------------------------------------------
 
     def _append_to_correlators(self) -> None:
-        if not self.batched:
-            self._append_per_pair()
-            return
         started = time.perf_counter()
         # Reference-grouped batch path: correlators sharing one reference
         # edge hold identical x-side windows (they replay the same block
@@ -195,45 +191,8 @@ class PipelineCore:
         groups: Dict[RefKey, List[Tuple[EdgeKey, IncrementalCorrelator]]] = {}
         for (ref_edge, edge), correlator in self._correlators.items():
             groups.setdefault(ref_edge, []).append((edge, correlator))
-        if self._pool is not None and len(groups) > 1:
-            skipped = sum(self._pool.map(self._append_group, groups.items()))
-        else:
-            skipped = sum(self._append_group(item) for item in groups.items())
-        self._refresh_skips = skipped
+        self._refresh_skips = sum(self._append_group(item) for item in groups.items())
         self._m_batch.observe(time.perf_counter() - started)
-
-    def _append_per_pair(self) -> None:
-        """Legacy refresh: one kernel invocation per (reference, edge) pair.
-
-        The whole loop is ledgered as one ``legacy_pair`` kernel sample
-        (rows = correlator appends) -- per-append timing would cost more
-        than the appends themselves on quiet windows.
-        """
-        kernel_started = time.perf_counter()
-        try:
-            if self.tracer.enabled:
-                # Traced path: one span per correlator update, labelled by the
-                # (reference, edge) pair it maintains.
-                for (ref_edge, edge), correlator in self._correlators.items():
-                    with self.tracer.span(
-                        "correlator.append",
-                        ref=f"{ref_edge[0]}->{ref_edge[1]}",
-                        edge=f"{edge[0]}->{edge[1]}",
-                    ):
-                        correlator.append(self._blocks[ref_edge][-1], self._blocks[edge][-1])
-                return
-            # Untraced hot path: kept span-free so the disabled-tracing
-            # overhead stays at one attribute check per refresh, not per edge.
-            for (ref_edge, edge), correlator in self._correlators.items():
-                ref_block = self._blocks[ref_edge][-1]
-                edge_block = self._blocks[edge][-1]
-                correlator.append(ref_block, edge_block)
-        finally:
-            self.ledger.record_kernel(
-                KERNEL_LEGACY,
-                rows=len(self._correlators),
-                seconds=time.perf_counter() - kernel_started,
-            )
 
     def _group_vectors(
         self,
@@ -254,16 +213,11 @@ class PipelineCore:
         batched FFT kernel -- whose ``size * log2(size)`` cost is fixed
         by the window, independent of density -- takes over. All three
         estimates are pure functions of the blocks, so grouped appends,
-        history replays and parallel shards all make the identical choice
-        and stay bit-for-bit reproducible.
-
-        With ``measured_dispatch`` on (and the kernel EWMAs warmed), the
-        comparison weighs each side's dispatch units by the ledger's
-        *measured* ns/unit instead of the modeled constants. The sparse
-        and RLE kernels produce bitwise-identical lag products, so their
-        choice never changes the output; FFT rows agree to the documented
-        float tolerance (``fft_dispatch="off"`` keeps everything
-        bit-exact).
+        history replays and process shards all make the identical choice
+        and stay bit-for-bit reproducible. The sparse and RLE kernels
+        produce bitwise-identical lag products; FFT rows agree to the
+        documented float tolerance (``fft_dispatch="off"`` keeps
+        everything bit-exact).
 
         Kernel timing is recorded per dispatch group (a handful of
         ``perf_counter`` calls per pending x block), never per row.
@@ -277,11 +231,6 @@ class PipelineCore:
         fft_rows: List[int] = []
         sparse_units_total = 0.0
         rle_units_total = 0.0
-        ns_sparse = ns_rle = ns_fft = None
-        if self.measured_dispatch:
-            ns_sparse = self.ledger.ns_per_unit(KERNEL_SPARSE_BATCH)
-            ns_rle = self.ledger.ns_per_unit(KERNEL_RLE)
-            ns_fft = self.ledger.ns_per_unit(KERNEL_FFT_BATCH)
         fft_mode = self.fft_dispatch
         fft_size = 0
         fft_units_row: Optional[float] = None
@@ -299,9 +248,7 @@ class PipelineCore:
                 xs.indices.size, ys.indices.size, span, max_lag
             )
             rle_units = rle_dispatch_units(x_block.num_runs, y_block.num_runs)
-            kernel = choose_batch_kernel(
-                sparse_units, rle_units, fft_units_row, ns_sparse, ns_rle, ns_fft
-            )
+            kernel = choose_batch_kernel(sparse_units, rle_units, fft_units_row)
             if kernel == "fft":
                 fft_rows.append(i)
             elif kernel == "sparse":
@@ -476,18 +423,15 @@ class PipelineCore:
     ) -> CorrelationSeries:
         correlator = self._correlators.get((ref_key, edge_key))
         if correlator is None:
-            with self._tally_lock:
-                self._refresh_cache_misses += 1
+            self._refresh_cache_misses += 1
             self._m_cache_misses.inc()
             correlator = self._create_correlator(ref_key, edge_key)
         else:
-            with self._tally_lock:
-                self._refresh_cache_hits += 1
+            self._refresh_cache_hits += 1
             self._m_cache_hits.inc()
         series = correlator.correlation()
         if correlator.last_served_from_cache:
-            with self._tally_lock:
-                self._refresh_corr_cache_hits += 1
+            self._refresh_corr_cache_hits += 1
         return series
 
     def _summary_hook(self, ref_key: RefKey, edge_key: EdgeKey):
@@ -508,18 +452,14 @@ class PipelineCore:
             num_blocks=self._num_blocks,
             quantum=self.config.quantum,
             metrics=self.metrics,
-            optimized=self.batched,
             evict_hook=self._summary_hook(ref_key, edge_key),
         )
         for ref_block, edge_block in zip(ref_blocks, edge_blocks):
-            if self.batched:
-                # Replay through the same batch kernel the grouped append
-                # uses, so a correlator rebuilt from history (new service
-                # class, transport late-block invalidation) is bit-identical
-                # to one maintained incrementally across refreshes.
-                self._batched_replay(correlator, ref_block, edge_block)
-            else:
-                correlator.append(ref_block, edge_block)
+            # Replay through the same batch kernel the grouped append
+            # uses, so a correlator rebuilt from history (new service
+            # class, transport late-block invalidation) is bit-identical
+            # to one maintained incrementally across refreshes.
+            self._batched_replay(correlator, ref_block, edge_block)
         self._correlators[(ref_key, edge_key)] = correlator
         return correlator
 
@@ -568,10 +508,6 @@ class PipelineCore:
             sum(s.length for s in sparse),
             sparse[0].quantum,
         )
-
-    @property
-    def correlator_count(self) -> int:
-        return len(self._correlators)
 
 
 class HostWindow(TraceWindow):

@@ -66,7 +66,7 @@ EVENT_SLO_BURN = "slo_burn"
 #: A ledger quantity drifted beyond tolerance from its committed
 #: benchmark baseline (BENCH_refresh.json / BENCH_ingest.json).
 EVENT_PERF_REGRESSION = "perf_regression"
-#: A shard worker process died mid-refresh (``parallel="processes"``);
+#: A shard worker process died mid-refresh (``shards >= 1``);
 #: the refresh completed with the lost shard's service classes marked
 #: degraded, and the shard is respawned from history next refresh.
 EVENT_SHARD_LOST = "shard_lost"

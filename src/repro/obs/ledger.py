@@ -11,10 +11,9 @@ rows processed, estimated bytes touched, and measured ns/row.
 Unlike the metrics registry (off by default) the ledger is **always on**:
 it adds a handful of ``perf_counter`` calls per refresh, not per row, so
 the overhead-guard benchmark pins it at well under 5% of refresh cost.
-Its continuous EWMAs of measured kernel cost feed back into the density
-dispatch model (``PathmapConfig.measured_dispatch``), replacing the
-modeled sparse-vs-RLE cost constant with observed hardware behavior --
-the ROADMAP's "measured, not modeled, costs" item.
+Its continuous EWMAs of measured kernel cost (ns/row and ns per dispatch
+cost unit) are reported by ``repro top`` / ``repro profile`` next to the
+modeled constants the density dispatch uses.
 
 Ledgers are attached to every :class:`~repro.core.pathmap.PathmapResult`
 (``result.ledger``), recorded into flight-recorder frames, exported as
@@ -49,8 +48,8 @@ PIPELINE_STAGES = (STAGE_INGEST, STAGE_CORRELATE, STAGE_DFS, STAGE_PUBLISH)
 #: Correlation kernel names: the grouped sparse batch kernel, the
 #: run-length pair-product kernel, the dense-regime batched FFT kernel
 #: (cached spectra + one 2-D inverse transform per group), and the
-#: legacy per-pair correlator append path (non-batched engines, and
-#: quiet/mismatched group members).
+#: legacy per-pair correlator append path (quiet/mismatched group
+#: members, and the per-pair baseline engine).
 KERNEL_SPARSE_BATCH = "sparse_batch"
 KERNEL_RLE = "rle"
 KERNEL_FFT_BATCH = "fft_batch"
@@ -221,7 +220,7 @@ class RefreshLedger:
         :data:`CORRELATION_KERNELS` (zero rows when a kernel was idle).
     shards:
         Shard id (as a string) -> :class:`ShardSample` per-worker stage
-        timings; empty unless the refresh ran ``parallel="processes"``.
+        timings; empty unless the refresh ran sharded (``shards >= 1``).
     skips:
         Pair products skipped this refresh because a block was quiet.
     cache_hits:
@@ -329,7 +328,7 @@ class LedgerRecorder:
 
     The engine owns one recorder for its lifetime. Per refresh the flow is
     ``begin_refresh`` -> ``record_stage`` / ``record_kernel`` (kernel
-    records may arrive from pool threads; they take a lock) ->
+    records take a lock, so any caller thread is safe) ->
     ``complete``, which stamps the ledger, folds kernel measurements into
     the persistent EWMAs and appends to a bounded history.
 
@@ -392,7 +391,7 @@ class LedgerRecorder:
         work_units: float = 0.0,
         bytes_touched: int = 0,
     ) -> None:
-        """Add one kernel invocation's cost. Safe from pool threads."""
+        """Add one kernel invocation's cost. Thread-safe."""
         if not self.enabled:
             return
         with self._lock:
@@ -487,22 +486,6 @@ class LedgerRecorder:
             with self._lock:
                 self._history.append(ledger)
         return ledger
-
-    # -- cost model feed -------------------------------------------------------
-
-    def ns_per_row(self, kernel: str) -> Optional[float]:
-        """EWMA of measured ns/row for a kernel (None until warmed)."""
-        ewma = self._row_ewma.get(kernel)
-        return ewma.value if ewma is not None else None
-
-    def ns_per_unit(self, kernel: str) -> Optional[float]:
-        """EWMA of measured ns per dispatch cost unit (None until warmed).
-
-        This is what ``measured_dispatch`` compares: predicted kernel
-        time = dispatch units x measured ns/unit.
-        """
-        ewma = self._unit_ewma.get(kernel)
-        return ewma.value if ewma is not None else None
 
     # -- history / export ------------------------------------------------------
 

@@ -65,8 +65,8 @@ class MetricsSample:
         Nodes the pathmap DFS recursed into this refresh.
     correlator_skips:
         Pair products skipped this refresh because one side's block was
-        quiet (the batched refresh's quiet-edge optimization; 0 when the
-        engine runs with ``batched=False``).
+        quiet (the batched refresh's quiet-edge optimization; 0 for the
+        per-pair baseline in :mod:`repro.baselines.legacy`).
     correlation_cache_hits:
         Correlation queries answered from a correlator's dirty-flag
         result cache this refresh (unchanged window, same series object

@@ -95,7 +95,7 @@ def analyze_static(
     for end in run.refresh_ends():
         start = end - cfg.window
         window = collector.window(cfg, end)
-        result = compute_service_graphs(window, cfg, workers=cfg.workers)
+        result = compute_service_graphs(window, cfg)
         detector.record(end, result)
         for cls, (client, front) in keys.items():
             graph = result.graphs.get((client, front))
@@ -174,7 +174,7 @@ def analyze_adaptive(run: ScenarioRun, mode: str = "adaptive") -> ScenarioScore:
                 cfg if win_start == start else cfg.with_window(end - win_start)
             )
             window = collector.window(cfg_run, end, start_time=win_start)
-            result = compute_service_graphs(window, cfg_run, workers=cfg_run.workers)
+            result = compute_service_graphs(window, cfg_run)
             # Feed the detector only this group's classes, so a class
             # analyzed in one group is never double-recorded via another
             # group's (whole-window) result.

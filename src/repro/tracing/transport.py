@@ -562,9 +562,6 @@ class LivenessWatchdog:
     def statuses(self, now: float) -> Dict[NodeId, TracerStatus]:
         return {node: self.status(node, now) for node in self._last_heard}
 
-    def nodes(self) -> List[NodeId]:
-        return sorted(self._last_heard)
-
 
 class TransportReceiver:
     """Analyzer-side ingest endpoint for framed block streams.

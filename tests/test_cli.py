@@ -386,8 +386,9 @@ class TestProfileCli:
         # sort_keys=True output is byte-stable across runs of the same doc
         assert text.strip() == json.dumps(doc, indent=2, sort_keys=True)
 
-    def test_measured_dispatch_flag_recorded(self, capsys):
+    def test_fft_dispatch_flag_recorded(self, capsys):
         assert main(["profile", "--json", "--duration", "125",
-                     "--measured-dispatch"]) == 0
+                     "--fft-dispatch", "off"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["workload"]["measured_dispatch"] is True
+        assert doc["workload"]["fft_dispatch"] == "off"
+        assert doc["workload"]["shards"] == 0

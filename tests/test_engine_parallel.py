@@ -1,15 +1,15 @@
-"""The batched/parallel refresh must change performance, never results.
+"""The batched refresh must change performance, never results.
 
-Three contracts from the batched-refresh design:
+Contracts from the batched-refresh design:
 
-* ``workers > 1`` shards the reference-grouped append and the pathmap
-  inner loop across a thread pool, but every result -- graphs, stats,
-  metrics counters -- is identical to the single-threaded run (numpy
-  kernels release the GIL; the shards are disjoint).
-* ``batched=True`` (the default) must recover the same service graphs as
-  the legacy per-pair engine on the same workload.
+* The engine's reference-grouped refresh must recover the same service
+  graphs as the legacy per-pair baseline
+  (:class:`repro.baselines.legacy.PerPairEngine`) on the same workload.
 * The fixed ``E2EProfEngine._edge_series`` is a pure refactor of the old
   pairwise ``concatenated()`` chain (quadratic in window depth).
+* Parallelism is the single ``shards`` setting: 0 is serial, N >= 1 is
+  N worker processes (their bit-identity lives in
+  ``tests/test_engine_processes.py``).
 """
 
 import functools
@@ -19,9 +19,11 @@ import pytest
 import numpy as np
 
 from repro.apps.manyclass import build_many_class
+from repro.baselines.legacy import PerPairEngine
+from repro.cli import main
 from repro.config import PathmapConfig
 from repro.core.engine import E2EProfEngine
-from repro.errors import AnalysisError, ConfigError
+from repro.errors import AnalysisError
 from repro.obs.exposition import snapshot
 from repro.obs.registry import MetricsRegistry
 
@@ -36,9 +38,10 @@ CFG = PathmapConfig(
 
 
 def run_engine(seed=3, end_time=18.0, classes=6, quiet_fraction=0.5, config=CFG,
-               **engine_kwargs):
-    """One many-class deployment driven to ``end_time`` with an engine
-    attached; returns the engine and its per-refresh samples."""
+               engine_cls=E2EProfEngine, **engine_kwargs):
+    """One many-class deployment driven to ``end_time`` with an
+    ``engine_cls`` engine attached; returns the engine and its
+    per-refresh samples."""
     deployment = build_many_class(
         classes=classes,
         quiet_fraction=quiet_fraction,
@@ -47,7 +50,7 @@ def run_engine(seed=3, end_time=18.0, classes=6, quiet_fraction=0.5, config=CFG,
         quiet_after=5.0,
         config=config,
     )
-    engine = E2EProfEngine(config, **engine_kwargs)
+    engine = engine_cls(config, **engine_kwargs)
     samples = []
     engine.subscribe_metrics(lambda now, result, sample: samples.append(sample))
     engine.attach(deployment.topology)
@@ -58,7 +61,7 @@ def run_engine(seed=3, end_time=18.0, classes=6, quiet_fraction=0.5, config=CFG,
 
 
 #: Counters whose values must be identical between a serial and a
-#: parallel run of the same workload (elapsed-time metrics excluded).
+#: sharded run of the same workload (elapsed-time metrics excluded).
 EXACT_COUNTERS = [
     "pathmap_correlations_total",
     "pathmap_spikes_total",
@@ -82,60 +85,54 @@ def counter_values(registry):
     }
 
 
-class TestParallelDeterminism:
-    def test_workers_do_not_change_results_or_counters(self):
-        serial_engine, serial_samples = run_engine(
-            metrics=MetricsRegistry(enabled=True), workers=1
+class TestShardsSetting:
+    def test_zero_shards_runs_serial_without_a_fleet(self):
+        engine = E2EProfEngine(CFG)
+        assert engine.shards == 0
+        deployment = build_many_class(
+            classes=2, quiet_fraction=0.0, seed=3, request_rate=10.0,
+            quiet_after=5.0, config=CFG,
         )
-        parallel_engine, parallel_samples = run_engine(
-            metrics=MetricsRegistry(enabled=True), workers=3
-        )
+        engine.attach(deployment.topology)
+        deployment.run_until(6.0)
+        assert engine._sharded is None
+        assert engine.latest_result is not None
+        engine.detach()
+        with pytest.raises(AnalysisError):
+            engine.reshard(2)  # a serial engine cannot grow a fleet
 
-        serial = serial_engine.latest_result
-        parallel = parallel_engine.latest_result
-        assert set(serial.graphs) == set(parallel.graphs)
-        for key, graph in serial.graphs.items():
-            assert parallel.graphs[key].to_dict() == graph.to_dict(), key
-        for field in ("correlations", "spikes", "edges_discovered", "graphs",
-                      "nodes_visited"):
-            assert getattr(serial.stats, field) == getattr(parallel.stats, field)
-
-        # Per-refresh work counts match sample by sample.
-        assert len(serial_samples) == len(parallel_samples)
-        for s, p in zip(serial_samples, parallel_samples):
-            for field in ("time", "blocks_ingested", "correlators",
-                          "cache_hits", "cache_misses", "correlations",
-                          "spikes", "nodes_visited", "correlator_skips",
-                          "correlation_cache_hits"):
-                assert getattr(s, field) == getattr(p, field), field
-
-        # And the registries agree to the exact counter value.
-        assert counter_values(serial_engine.metrics) == counter_values(
-            parallel_engine.metrics
-        )
-
-    def test_pool_lifecycle(self):
-        engine, _ = run_engine(workers=2, end_time=10.0)
-        assert engine.workers == 2
-        assert engine._pool is None  # detach() tore the pool down
-
-    def test_workers_knob_plumbing(self):
-        assert E2EProfEngine(CFG).workers == 1
+    def test_engine_argument_overrides_config(self):
         import dataclasses
 
-        cfg = dataclasses.replace(CFG, workers=3)
-        assert E2EProfEngine(cfg).workers == 3
-        assert E2EProfEngine(cfg, workers=2).workers == 2  # param wins
-        with pytest.raises(ConfigError):
-            dataclasses.replace(CFG, workers=0)
-        with pytest.raises(AnalysisError):
-            E2EProfEngine(CFG, workers=0)
+        cfg = dataclasses.replace(CFG, shards=3)
+        assert E2EProfEngine(cfg).shards == 3
+        assert E2EProfEngine(cfg, shards=0).shards == 0
+        assert E2EProfEngine(CFG, shards=2).shards == 2
+
+    def test_cli_shards_alone_selects_processes(self, capsys, monkeypatch):
+        import repro.core.engine as engine_module
+
+        built = []
+
+        class Recording(engine_module.E2EProfEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(engine_module, "E2EProfEngine", Recording)
+        assert main(["stats", "--shards", "2", "--duration", "31",
+                     "--window", "60"]) == 0
+        capsys.readouterr()
+        (engine,) = built
+        assert engine.shards == 2
+        assert engine.ledger.latest.shards  # workers really ran the refresh
+        assert engine._sharded is None  # and the fleet was torn down
 
 
 class TestBatchedEquivalence:
     def test_batched_engine_matches_legacy_graphs(self):
-        batched_engine, batched_samples = run_engine(batched=True)
-        legacy_engine, legacy_samples = run_engine(batched=False)
+        batched_engine, batched_samples = run_engine()
+        legacy_engine, legacy_samples = run_engine(engine_cls=PerPairEngine)
 
         batched = batched_engine.latest_result
         legacy = legacy_engine.latest_result
@@ -159,8 +156,8 @@ class TestBatchedEquivalence:
 
         dense_cfg = dataclasses.replace(CFG, sampling_window=50e-3)
         kwargs = dict(seed=4, end_time=14.0, classes=4, quiet_fraction=0.25)
-        batched_engine, _ = run_engine(config=dense_cfg, batched=True, **kwargs)
-        legacy_engine, _ = run_engine(config=dense_cfg, batched=False, **kwargs)
+        batched_engine, _ = run_engine(config=dense_cfg, **kwargs)
+        legacy_engine, _ = run_engine(config=dense_cfg, engine_cls=PerPairEngine, **kwargs)
         batched = batched_engine.latest_result
         legacy = legacy_engine.latest_result
         assert set(batched.graphs) == set(legacy.graphs)
@@ -168,7 +165,7 @@ class TestBatchedEquivalence:
             assert batched.graphs[key].to_dict() == graph.to_dict(), key
 
     def test_batched_skip_counts_respond_to_quiet_classes(self):
-        _, samples = run_engine(batched=True, end_time=20.0)
+        _, samples = run_engine(end_time=20.0)
         # While every class is active (first refreshes) nothing is
         # skipped; once half the classes stop, skips appear.
         assert samples[0].correlator_skips == 0
@@ -200,36 +197,36 @@ class TestEdgeSeriesRefactor:
 
 class TestAdaptiveDeterminism:
     """The adaptive annotations (confidence reports, tuned-parameter
-    recommendations) are derived serially from the refresh result, so
-    ``workers`` must not change a single one of them."""
+    recommendations) are derived in the parent from the refresh result,
+    so ``shards`` must not change a single one of them."""
 
-    def test_workers_do_not_change_adaptive_outputs(self):
-        serial_engine, _ = run_engine(adaptive=True, workers=1)
-        parallel_engine, _ = run_engine(adaptive=True, workers=3)
+    def test_shards_do_not_change_adaptive_outputs(self):
+        serial_engine, _ = run_engine(adaptive=True)
+        sharded_engine, _ = run_engine(adaptive=True, shards=2)
 
         serial = serial_engine.latest_result
-        parallel = parallel_engine.latest_result
-        assert set(serial.graphs) == set(parallel.graphs)
+        sharded = sharded_engine.latest_result
+        assert set(serial.graphs) == set(sharded.graphs)
         for key, graph in serial.graphs.items():
-            assert parallel.graphs[key].to_dict() == graph.to_dict(), key
+            assert sharded.graphs[key].to_dict() == graph.to_dict(), key
 
         # Confidence reports are dataclasses of floats computed from the
         # same block history: bit-identical, class for class.
-        assert serial_engine.latest_confidence == parallel_engine.latest_confidence
-        assert serial_engine.confidence_score == parallel_engine.confidence_score
-        assert serial.confidence == parallel.confidence
+        assert serial_engine.latest_confidence == sharded_engine.latest_confidence
+        assert serial_engine.confidence_score == sharded_engine.confidence_score
+        assert serial.confidence == sharded.confidence
 
         # And the tuner saw identical statistics, so it recommended
         # identical configs.
         assert (
             serial_engine.latest_recommendations
-            == parallel_engine.latest_recommendations
+            == sharded_engine.latest_recommendations
         )
         assert serial_engine.latest_recommendations, (
             "adaptive engine must produce recommendations for active classes"
         )
 
     def test_adaptive_flag_gates_recommendations(self):
-        engine, _ = run_engine(adaptive=False, workers=2)
+        engine, _ = run_engine(adaptive=False)
         assert engine.latest_recommendations == {}
         assert engine.latest_confidence  # confidence is always on

@@ -1,16 +1,15 @@
 """Differential determinism of the process-sharded refresh.
 
-The ``parallel="processes"`` engine partitions correlator groups across
+A ``shards >= 1`` engine partitions correlator groups across
 worker processes by service class, ships block history through shared
 memory, and merges per-shard partial pathmaps. None of that machinery
 may change a single bit of output: graphs, stats, per-refresh samples
 and exact metrics counters must match the serial engine for every
 workload, every shard count, and across a mid-run reshard.
 
-The suite extends ``tests/test_engine_parallel.py`` (which pins the
-thread-pool mode to the same contract) with:
+The suite pins that contract with:
 
-* a three-way serial == threads == processes comparison,
+* a serial == processes comparison,
 * a shard-count sweep (1..8) against one serial baseline,
 * hypothesis-driven workloads (topology shape and shard count drawn),
 * mid-run ``engine.reshard()`` equivalence,
@@ -20,6 +19,7 @@ thread-pool mode to the same contract) with:
   shared-memory segment.
 """
 
+import dataclasses
 import os
 import signal
 import warnings
@@ -29,7 +29,7 @@ import pytest
 from repro.apps.manyclass import build_many_class
 from repro.config import PathmapConfig
 from repro.core.engine import E2EProfEngine
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConfigError
 from repro.obs.events import EVENT_SHARD_LOST
 from repro.obs.registry import MetricsRegistry
 from repro.tracing.transport import QUALITY_DEGRADED
@@ -78,27 +78,20 @@ def assert_equivalent(serial, other, serial_samples=None, other_samples=None,
 
 
 class TestProcessDeterminism:
-    def test_serial_threads_processes_agree(self):
-        serial, s_samples = run_engine(
-            metrics=MetricsRegistry(enabled=True), workers=1
-        )
-        threads, t_samples = run_engine(
-            metrics=MetricsRegistry(enabled=True), parallel="threads", workers=3
-        )
+    def test_serial_processes_agree(self):
+        serial, s_samples = run_engine(metrics=MetricsRegistry(enabled=True))
         procs, p_samples = run_engine(
-            metrics=MetricsRegistry(enabled=True), parallel="processes", shards=2
+            metrics=MetricsRegistry(enabled=True), shards=2
         )
-        assert_equivalent(serial, threads, s_samples, t_samples)
         assert_equivalent(serial, procs, s_samples, p_samples)
 
     @pytest.mark.parametrize("shards", [1, 3, 8])
     def test_shard_count_sweep(self, shards):
         serial, s_samples = run_engine(
-            metrics=MetricsRegistry(enabled=True), workers=1, end_time=12.0
+            metrics=MetricsRegistry(enabled=True), end_time=12.0
         )
         procs, p_samples = run_engine(
             metrics=MetricsRegistry(enabled=True),
-            parallel="processes",
             shards=shards,
             end_time=12.0,
         )
@@ -106,7 +99,7 @@ class TestProcessDeterminism:
         assert_equivalent(serial, procs, s_samples, p_samples)
 
     def test_ledger_records_per_shard_timings(self):
-        procs, _ = run_engine(parallel="processes", shards=3, end_time=12.0)
+        procs, _ = run_engine(shards=3, end_time=12.0)
         ledger = procs.ledger.latest
         assert sorted(ledger.shards) == ["0", "1", "2"]
         for sample in ledger.shards.values():
@@ -115,11 +108,11 @@ class TestProcessDeterminism:
             assert sample.classes >= 0
         assert sum(s.classes for s in ledger.shards.values()) > 0
 
-    def test_invalid_parallel_mode_rejected(self):
-        with pytest.raises(AnalysisError):
-            E2EProfEngine(CFG, parallel="fibers")
-        with pytest.raises(AnalysisError):
-            E2EProfEngine(CFG, parallel="processes", shards=0)
+    def test_negative_shard_count_rejected(self):
+        with pytest.raises(ConfigError):
+            dataclasses.replace(CFG, shards=-1)
+        with pytest.raises(ConfigError):
+            E2EProfEngine(CFG, shards=-1)
 
 
 class TestHypothesisWorkloads:
@@ -147,11 +140,10 @@ class TestHypothesisWorkloads:
                 end_time=10.0,
             )
             serial, s_samples = run_engine(
-                metrics=MetricsRegistry(enabled=True), workers=1, **kwargs
+                metrics=MetricsRegistry(enabled=True), **kwargs
             )
             procs, p_samples = run_engine(
                 metrics=MetricsRegistry(enabled=True),
-                parallel="processes",
                 shards=shards,
                 **kwargs,
             )
@@ -167,7 +159,7 @@ class TestReshard:
             quiet_after=5.0, config=CFG,
         )
         engine = E2EProfEngine(
-            CFG, parallel="processes", shards=2,
+            CFG, shards=2,
             metrics=MetricsRegistry(enabled=True),
         )
         engine.attach(deployment.topology)
@@ -177,7 +169,7 @@ class TestReshard:
         deployment.run_until(18.0)
         engine.detach()
 
-        serial, _ = run_engine(metrics=MetricsRegistry(enabled=True), workers=1)
+        serial, _ = run_engine(metrics=MetricsRegistry(enabled=True))
         # Correlators rebuilt after the reshard replay their windows, so
         # *work* counters (pair products, skips, cache hits/misses) grow;
         # the analysis-output counters must not move by a single unit.
@@ -192,7 +184,7 @@ class TestReshard:
             assert cv_s[name] == cv_p[name], name
 
     def test_reshard_rejects_invalid_counts(self):
-        engine = E2EProfEngine(CFG, parallel="processes", shards=2)
+        engine = E2EProfEngine(CFG, shards=2)
         with pytest.raises(AnalysisError):
             engine.reshard(0)
 
@@ -218,8 +210,8 @@ class TestScenarioSweep:
 
         results = {}
         for mode, kwargs in (
-            ("serial", dict(workers=1)),
-            ("processes", dict(parallel="processes", shards=3)),
+            ("serial", dict(shards=0)),
+            ("processes", dict(shards=3)),
         ):
             run = get_scenario(name).build(seed=11)
             engine = E2EProfEngine(run.config, **kwargs)
@@ -244,7 +236,7 @@ class TestShardFaults:
             quiet_after=5.0, config=CFG,
         )
         engine = E2EProfEngine(
-            CFG, parallel="processes", shards=shards,
+            CFG, shards=shards,
             metrics=MetricsRegistry(enabled=True),
         )
         engine.attach(deployment.topology)
@@ -296,7 +288,7 @@ class TestShardFaults:
             )
         finally:
             engine.detach()
-        serial, _ = run_engine(workers=1)
+        serial, _ = run_engine()
         assert_equivalent(serial, engine, counters=False)
 
 
@@ -309,7 +301,7 @@ class TestResourceLifecycle:
             classes=4, quiet_fraction=0.0, seed=5, request_rate=10.0,
             quiet_after=5.0, config=CFG,
         )
-        engine = E2EProfEngine(CFG, parallel="processes", shards=2, workers=2)
+        engine = E2EProfEngine(CFG, shards=2)
         engine.attach(deployment.topology)
         deployment.run_until(10.0)
         workers = list(engine._sharded._workers.values())
@@ -318,7 +310,6 @@ class TestResourceLifecycle:
 
         engine.close()
 
-        assert engine._pool is None
         assert engine._sharded is None
         for handle in workers:
             assert not handle.alive
@@ -335,7 +326,7 @@ class TestResourceLifecycle:
             classes=4, quiet_fraction=0.0, seed=5, request_rate=10.0,
             quiet_after=5.0, config=CFG,
         )
-        engine = E2EProfEngine(CFG, parallel="processes", shards=2)
+        engine = E2EProfEngine(CFG, shards=2)
         engine.attach(deployment.topology)
         deployment.run_until(8.0)
         victim = engine._sharded._workers[0]

@@ -14,10 +14,10 @@ cross-correlation):
   online engine do only the newest dW block's work per refresh.
 * The :class:`SpectrumCache` is transparent -- hits return bitwise the
   array a recompute would -- and the three-way ``choose_batch_kernel``
-  routes by the modeled/measured cost frontier.
+  routes by the modeled cost frontier.
 * End to end, ``fft_dispatch`` in {auto, off, force} changes refresh
   cost only: graphs agree across modes within tolerance, and auto mode
-  stays bit-identical across serial/threads/processes execution.
+  stays bit-identical across serial and process-sharded execution.
 """
 
 import dataclasses
@@ -41,6 +41,8 @@ from repro.core.correlation import (
     fft_dispatch_units,
     fft_length,
     fft_lag_products,
+    rle_dispatch_units,
+    sparse_dispatch_units,
     sparse_lag_products,
 )
 from repro.core.engine import E2EProfEngine
@@ -276,20 +278,20 @@ class TestChooseBatchKernel:
         assert choose_batch_kernel(100.0, 40.0, fft_units=direct) == "sparse"
         assert choose_batch_kernel(1000.0, 40.0, fft_units=200.0) == "rle"
 
-    def test_measured_frontier_requires_all_three_ewmas(self):
-        # Only two EWMAs warm: stay on the modeled comparison.
-        assert choose_batch_kernel(
-            100.0, 40.0, fft_units=1000.0, ns_sparse=1.0, ns_rle=1.0
-        ) != "fft"
-        # All three warm: measured nanoseconds decide.
-        assert choose_batch_kernel(
-            100.0, 40.0, fft_units=1000.0,
-            ns_sparse=10.0, ns_rle=10.0, ns_fft=0.1,
-        ) == "fft"
-        assert choose_batch_kernel(
-            10.0, 40.0, fft_units=10.0,
-            ns_sparse=1.0, ns_rle=1.0, ns_fft=100.0,
-        ) == "sparse"
+
+
+class TestDirectDispatchUnits:
+    def test_sparse_units_formula(self):
+        assert sparse_dispatch_units(10, 20, 100, 4) == pytest.approx(
+            10 * 5 * 20 / 100
+        )
+
+    def test_sparse_units_guards_empty_span(self):
+        assert sparse_dispatch_units(10, 20, 0, 4) == pytest.approx(10 * 5 * 20)
+
+    def test_rle_units_formula(self):
+        assert rle_dispatch_units(6, 7) == 42.0
+        assert MODELED_RLE_COST_RATIO == 4.0
 
 
 class TestOverlapAddIncrement:
@@ -452,19 +454,13 @@ class TestEngineFftDispatch:
 
     def test_auto_is_bit_identical_across_parallel_modes(self):
         kwargs = dict(end_time=12.0, fft_dispatch="auto")
-        serial, s_samples = run_dense_engine(workers=1, **kwargs)
-        threads, t_samples = run_dense_engine(parallel="threads", workers=3,
-                                              **kwargs)
-        procs, p_samples = run_dense_engine(parallel="processes", shards=2,
-                                            **kwargs)
-        base = self.graphs_of(serial)
-        assert self.graphs_of(threads) == base
-        assert self.graphs_of(procs) == base
-        for other in (t_samples, p_samples):
-            assert len(other) == len(s_samples)
-            for s, o in zip(s_samples, other):
-                assert s.correlations == o.correlations
-                assert s.spikes == o.spikes
+        serial, s_samples = run_dense_engine(**kwargs)
+        procs, p_samples = run_dense_engine(shards=2, **kwargs)
+        assert self.graphs_of(procs) == self.graphs_of(serial)
+        assert len(p_samples) == len(s_samples)
+        for s, o in zip(s_samples, p_samples):
+            assert s.correlations == o.correlations
+            assert s.spikes == o.spikes
 
     def test_spectra_cache_warms_and_stays_bounded(self):
         engine, _ = run_dense_engine(fft_dispatch="force", end_time=16.0)

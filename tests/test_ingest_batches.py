@@ -10,6 +10,7 @@ batched and per-record ingest produce identical analysis inputs.
 import numpy as np
 import pytest
 
+from repro.baselines.legacy import ListStoreCollector
 from repro.config import PathmapConfig
 from repro.core.engine import E2EProfEngine
 from repro.errors import TraceError
@@ -171,8 +172,10 @@ class TestExportDeterminism:
 
 
 class TestLegacyStoreDirtyFlags:
+    """The list-store baseline the ingest benchmarks compare against."""
+
     def test_sorts_are_per_edge(self):
-        collector = TraceCollector(columnar=False)
+        collector = ListStoreCollector()
         collector.ingest_point(2.0, "A", "B", True)
         collector.ingest_point(1.0, "A", "B", True)
         collector.ingest_point(2.0, "C", "D", True)
@@ -192,7 +195,7 @@ class TestLegacyStoreDirtyFlags:
     def test_legacy_results_match_columnar(self):
         rng = np.random.default_rng(11)
         stamps = rng.uniform(0.0, 30.0, size=150)
-        legacy = TraceCollector(columnar=False)
+        legacy = ListStoreCollector()
         columnar = TraceCollector()
         for t in stamps:
             legacy.ingest_point(float(t), "A", "B", True)

@@ -11,6 +11,7 @@ exposition.
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import E2EProfEngine, PathmapConfig, build_rubis
 from repro.analysis.top import render_profile, render_top
@@ -85,6 +86,29 @@ class TestEwma:
             Ewma(alpha=alpha)
 
 
+class TestEwmaConvergence:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=1,
+                    max_size=50),
+           st.floats(min_value=0.05, max_value=1.0))
+    def test_value_stays_within_sample_bounds(self, samples, alpha):
+        ewma = Ewma(alpha=alpha)
+        for sample in samples:
+            ewma.update(sample)
+        assert min(samples) <= ewma.value <= max(samples)
+        assert ewma.samples == len(samples)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(min_value=1e-3, max_value=1e6),
+           st.floats(min_value=1e-3, max_value=1e6))
+    def test_converges_to_constant_tail(self, start, target):
+        ewma = Ewma(alpha=0.2)
+        ewma.update(start)
+        for _ in range(200):
+            ewma.update(target)
+        assert ewma.value == pytest.approx(target, rel=1e-6)
+
+
 class TestLedgerRecorder:
     def test_complete_has_all_stages_and_kernels(self):
         rec = LedgerRecorder()
@@ -117,13 +141,13 @@ class TestLedgerRecorder:
         rec.begin_refresh()
         rec.record_kernel(KERNEL_RLE, rows=10, seconds=0.001, work_units=40.0)
         rec.complete(0.0, 0, refresh_seconds=0.0)
-        assert rec.ns_per_row(KERNEL_RLE) is not None
-        assert rec.ns_per_unit(KERNEL_RLE) is not None
+        assert rec.ewma_snapshot()[KERNEL_RLE]["ns_per_row"] is not None
+        assert rec.ewma_snapshot()[KERNEL_RLE]["ns_per_unit"] is not None
         # sparse batch never ran: EWMAs stay cold across refreshes
         rec.begin_refresh()
         rec.complete(1.0, 1, refresh_seconds=0.0)
-        assert rec.ns_per_row(KERNEL_SPARSE_BATCH) is None
-        assert rec.ns_per_unit(KERNEL_SPARSE_BATCH) is None
+        assert rec.ewma_snapshot()[KERNEL_SPARSE_BATCH]["ns_per_row"] is None
+        assert rec.ewma_snapshot()[KERNEL_SPARSE_BATCH]["ns_per_unit"] is None
 
     def test_disabled_recorder_is_a_noop_with_complete_shape(self):
         rec = LedgerRecorder(enabled=False)

@@ -103,6 +103,7 @@ class TestAnalysisBudget:
         deliberately lenient (1.25x) to tolerate CI noise; the real
         speedup assertion lives in benchmarks/test_refresh_throughput.py."""
         from repro.apps.manyclass import build_many_class
+        from repro.baselines.legacy import PerPairEngine
 
         quiet_cfg = PathmapConfig(
             window=6.0,
@@ -116,7 +117,8 @@ class TestAnalysisBudget:
         def median_refresh(batched: bool) -> float:
             dep = build_many_class(classes=12, quiet_fraction=0.75, seed=5,
                                    quiet_after=5.0, config=quiet_cfg)
-            engine = E2EProfEngine(dep.config, batched=batched)
+            engine_cls = E2EProfEngine if batched else PerPairEngine
+            engine = engine_cls(dep.config)
             samples = []
             engine.subscribe_metrics(lambda now, res, s: samples.append(s))
             engine.attach(dep.topology)
@@ -139,6 +141,7 @@ class TestAnalysisBudget:
         route those rows to the RLE kernel, so the batched engine may not
         lose to the legacy per-pair engine here either."""
         from repro.apps.manyclass import build_many_class
+        from repro.baselines.legacy import PerPairEngine
 
         dense_cfg = PathmapConfig(
             window=6.0,
@@ -152,7 +155,8 @@ class TestAnalysisBudget:
         def median_refresh(batched: bool) -> float:
             dep = build_many_class(classes=6, quiet_fraction=0.0, seed=9,
                                    config=dense_cfg)
-            engine = E2EProfEngine(dep.config, batched=batched)
+            engine_cls = E2EProfEngine if batched else PerPairEngine
+            engine = engine_cls(dep.config)
             samples = []
             engine.subscribe_metrics(lambda now, res, s: samples.append(s))
             engine.attach(dep.topology)

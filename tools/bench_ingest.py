@@ -5,7 +5,8 @@ Captures a realistic trace from the synthetic many-class topology
 collector along three ingest paths and reports records/second as JSON:
 
 * ``per_record``         -- the legacy path: one :class:`CaptureRecord`
-  at a time into the Python-list store (``columnar=False``).
+  at a time into the Python-list store baseline
+  (:class:`repro.baselines.legacy.ListStoreCollector`).
 * ``per_record_columnar``-- the same record stream into the chunked
   columnar store (isolates the store change from the batch API).
 * ``batched``            -- per-(edge, side) timestamp arrays grouped by
@@ -44,6 +45,7 @@ import numpy as np  # noqa: E402
 
 from repro.apps.manyclass import build_many_class  # noqa: E402
 from repro.config import PathmapConfig  # noqa: E402
+from repro.baselines.legacy import ListStoreCollector  # noqa: E402
 from repro.tracing.collector import TraceCollector  # noqa: E402
 from repro.tracing.storage import read_capture_binary, write_capture_binary  # noqa: E402
 
@@ -107,7 +109,9 @@ def _consolidate(collector: TraceCollector) -> None:
 
 
 def ingest_per_record(records, columnar: bool) -> TraceCollector:
-    collector = TraceCollector(columnar=columnar)
+    """Record-at-a-time ingest into the columnar collector, or into the
+    list-store baseline when ``columnar`` is False."""
+    collector = TraceCollector() if columnar else ListStoreCollector()
     ingest = collector.ingest
     for record in records:
         ingest(record)

@@ -1,11 +1,11 @@
 """Benchmark the online refresh across engine execution modes.
 
 Drives N engine refreshes over the synthetic many-class topology
-(:mod:`repro.apps.manyclass`) in three modes -- ``serial`` (legacy
-per-pair appends), ``batched`` (reference-grouped kernels + quiet-edge
-skipping), and ``batched+workers`` (the thread-pooled refresh) -- and
-reports p50/p95 refresh latencies, correlator counts and skip ratios as
-JSON. Run from the repository root:
+(:mod:`repro.apps.manyclass`) in two modes -- ``serial`` (the legacy
+per-pair baseline, :class:`repro.baselines.legacy.PerPairEngine`) and
+``batched`` (the engine: reference-grouped kernels + quiet-edge
+skipping) -- and reports p50/p95 refresh latencies, correlator counts
+and skip ratios as JSON. Run from the repository root:
 
     PYTHONPATH=src python tools/bench_refresh.py            # full workload
     PYTHONPATH=src python tools/bench_refresh.py --quick    # CI-sized
@@ -30,6 +30,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from repro.apps.manyclass import build_many_class  # noqa: E402
+from repro.baselines.legacy import PerPairEngine  # noqa: E402
 from repro.config import PathmapConfig  # noqa: E402
 from repro.core.engine import E2EProfEngine  # noqa: E402
 
@@ -65,7 +66,6 @@ WARMUP_REFRESHES = 6
 
 def run_mode(
     batched: bool,
-    workers: int,
     classes: int,
     quiet_fraction: float,
     seed: int,
@@ -74,7 +74,8 @@ def run_mode(
     config: PathmapConfig = BENCH_REFRESH_CONFIG,
     fft_dispatch: str = "auto",
 ) -> dict:
-    """One deployment + engine run; returns per-refresh latency stats."""
+    """One deployment + engine run; returns per-refresh latency stats.
+    ``batched=False`` runs the per-pair baseline engine."""
     deployment = build_many_class(
         classes=classes,
         quiet_fraction=quiet_fraction,
@@ -83,12 +84,8 @@ def run_mode(
         quiet_after=5.0,
         config=config,
     )
-    engine = E2EProfEngine(
-        deployment.config,
-        batched=batched,
-        workers=workers,
-        fft_dispatch=fft_dispatch,
-    )
+    engine_cls = E2EProfEngine if batched else PerPairEngine
+    engine = engine_cls(deployment.config, fft_dispatch=fft_dispatch)
     samples = []
     engine.subscribe_metrics(lambda now, result, sample: samples.append(sample))
     started = time.perf_counter()
@@ -137,13 +134,11 @@ def run_benchmark(
     quiet_fraction: float,
     seed: int,
     end_time: float,
-    workers: int,
     repeats: int,
 ) -> dict:
     modes = {
-        "serial": dict(batched=False, workers=1),
-        "batched": dict(batched=True, workers=1),
-        f"batched+{workers}w": dict(batched=True, workers=workers),
+        "serial": dict(batched=False),
+        "batched": dict(batched=True),
     }
     results = {}
     for name, mode in modes.items():
@@ -204,7 +199,6 @@ def run_dense_benchmark(
         results[name] = best_of(
             repeats,
             batched=True,
-            workers=1,
             classes=classes,
             quiet_fraction=0.0,
             seed=seed,
@@ -244,9 +238,9 @@ def run_dense_benchmark(
 
 def environment_stamp() -> dict:
     """Hardware/library context the numbers depend on, stamped into the
-    JSON so committed results are self-explaining (a 1-core container
-    shows worker parity, not speedup; numpy's pocketfft version sets the
-    FFT kernel's constant factors)."""
+    JSON so committed results are self-explaining (the core count bounds
+    the shard speedup; numpy's pocketfft version sets the FFT kernel's
+    constant factors)."""
     return {
         "cores": os.cpu_count(),
         "numpy": np.__version__,
@@ -264,7 +258,6 @@ def main(argv=None) -> int:
     parser.add_argument("--classes", type=int, default=None)
     parser.add_argument("--quiet-fraction", type=float, default=None)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--repeats", type=int, default=None)
     parser.add_argument(
         "--output",
@@ -294,7 +287,6 @@ def main(argv=None) -> int:
         quiet_fraction=quiet_fraction,
         seed=args.seed,
         end_time=end_time,
-        workers=args.workers,
         repeats=repeats,
     )
     if not args.skip_dense:

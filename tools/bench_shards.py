@@ -1,11 +1,10 @@
-"""Benchmark the sharded refresh: threads vs worker processes.
+"""Benchmark the sharded refresh: serial vs worker processes.
 
-Drives N engine refreshes over a dense many-class topology in three
-modes -- ``serial``, ``threads`` (the GIL-bound thread pool) and
-``processes`` (consistent-hash correlator shards over
-``multiprocessing.shared_memory``) -- and reports p50/p95 refresh
-latencies plus the process-over-threads speedup as JSON. Run from the
-repository root:
+Drives N engine refreshes over a dense many-class topology in two
+modes -- ``serial`` (``shards=0``) and ``processes`` (``shards=N``:
+consistent-hash correlator shards over ``multiprocessing.shared_memory``)
+-- and reports p50/p95 refresh latencies plus the process-over-serial
+speedup as JSON. Run from the repository root:
 
     PYTHONPATH=src python tools/bench_shards.py           # full workload
     PYTHONPATH=src python tools/bench_shards.py --quick   # CI-sized
@@ -13,8 +12,8 @@ repository root:
 Results merge into the ``shards`` section of ``BENCH_refresh.json``
 (override with ``--output``); ``benchmarks/test_shard_speedup.py``
 gates the speedup on the same machinery. The ``cores`` field records
-the machine the numbers came from -- process sharding cannot beat
-threads on a single-core box, and the gate skips there.
+the machine the numbers came from -- process sharding needs spare cores
+to beat serial, and the gate skips below four.
 """
 
 from __future__ import annotations
@@ -32,6 +31,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from repro.apps.manyclass import build_many_class  # noqa: E402
 from repro.config import PathmapConfig  # noqa: E402
 from repro.core.engine import E2EProfEngine  # noqa: E402
+
+from bench_refresh import environment_stamp  # noqa: E402
 
 #: Analysis parameters for the dense workload: 2 s blocks, three-block
 #: window, 2 s transaction-delay bound. Every class stays active
@@ -51,8 +52,6 @@ WARMUP_REFRESHES = 4
 
 
 def run_mode(
-    parallel: str,
-    workers: int,
     shards: int,
     classes: int,
     seed: int,
@@ -68,9 +67,7 @@ def run_mode(
         quiet_after=end_time,
         config=BENCH_SHARDS_CONFIG,
     )
-    engine = E2EProfEngine(
-        deployment.config, parallel=parallel, workers=workers, shards=shards
-    )
+    engine = E2EProfEngine(deployment.config, shards=shards)
     samples = []
     engine.subscribe_metrics(lambda now, result, sample: samples.append(sample))
     started = time.perf_counter()
@@ -106,9 +103,8 @@ def run_benchmark(
     classes: int, seed: int, end_time: float, lanes: int, repeats: int
 ) -> dict:
     modes = {
-        "serial": dict(parallel="serial", workers=1, shards=1),
-        f"threads-{lanes}": dict(parallel="threads", workers=lanes, shards=1),
-        f"processes-{lanes}": dict(parallel="processes", workers=1, shards=lanes),
+        "serial": dict(shards=0),
+        f"processes-{lanes}": dict(shards=lanes),
     }
     results = {}
     for name, mode in modes.items():
@@ -121,7 +117,6 @@ def run_benchmark(
             f"correlators={results[name]['correlators']}",
             flush=True,
         )
-    threads = results[f"threads-{lanes}"]["p50_seconds"]
     procs = results[f"processes-{lanes}"]["p50_seconds"]
     serial = results["serial"]["p50_seconds"]
     return {
@@ -141,8 +136,8 @@ def run_benchmark(
             },
         },
         "cores": os.cpu_count(),
+        "environment": environment_stamp(),
         "modes": results,
-        "processes_over_threads": threads / procs if procs else float("inf"),
         "processes_over_serial": serial / procs if procs else float("inf"),
     }
 
@@ -160,7 +155,7 @@ def main(argv=None) -> int:
         "--lanes",
         type=int,
         default=4,
-        help="thread workers / shard processes to compare (default 4)",
+        help="shard processes to compare against serial (default 4)",
     )
     parser.add_argument("--repeats", type=int, default=None)
     parser.add_argument(
@@ -191,9 +186,8 @@ def main(argv=None) -> int:
     merged["shards"] = doc
     args.output.write_text(json.dumps(merged, indent=2) + "\n", encoding="utf-8")
     print(
-        f"processes over threads: {doc['processes_over_threads']:.2f}x "
-        f"(over serial: {doc['processes_over_serial']:.2f}x, "
-        f"{doc['cores']} cores)"
+        f"processes over serial: {doc['processes_over_serial']:.2f}x "
+        f"({doc['cores']} cores)"
     )
     print(f"[written to {args.output}]")
     return 0

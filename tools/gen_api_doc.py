@@ -72,6 +72,7 @@ MODULES = [
     "repro.management.planning",
     "repro.baselines.convolution",
     "repro.baselines.nesting",
+    "repro.baselines.legacy",
     "repro.analysis.render",
     "repro.analysis.svg",
     "repro.analysis.compare",
