@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -614,6 +614,73 @@ def fft_length(n: int) -> int:
     return best
 
 
+class FftRowPlan(NamedTuple):
+    """Where the work of one FFT batch row lies (absolute quanta).
+
+    ``d0..d1`` are the lags at which the x and y blocks can form a sample
+    pair within ``max_lag``; only x quanta ``[x_lo, x_hi)`` and y quanta
+    ``[y_lo, y_hi)`` take part in such pairs.  ``span`` is the shortest
+    circular correlation of those two slices that is alias-free at lags
+    ``d0..d1`` and ``size`` the 5-smooth plan length for it.  A row with
+    no pair in reach has ``size == 0`` (and empty slices).
+    """
+
+    d0: int
+    d1: int
+    x_lo: int
+    x_hi: int
+    y_lo: int
+    y_hi: int
+    span: int
+    size: int
+
+
+def fft_row_plan(
+    x_start: int, x_len: int, y_start: int, y_len: int, max_lag: int
+) -> FftRowPlan:
+    """Clip one block pair to the support lags ``0..max_lag`` can reach
+    and plan its transform (the paper's lag bound ``T_u``, Sec. 3.4 (a)).
+
+    A pair at lag ``d`` joins x quantum ``i`` with y quantum ``i + d``,
+    so x quanta earlier than ``y_start - d1`` and y quanta later than
+    ``x_start + x_len - 1 + d1`` never pair: a cross-block row whose lag
+    reach is shorter than a block keeps only the tail of the older x
+    block and the head of the newer y block.  With ``r = d - (y_lo -
+    x_lo)`` the relative lag of the slices (``nx``/``ny`` quanta), the
+    linear correlation lives on ``r`` in ``[-(nx-1), ny-1]``; a circular
+    correlation of size ``S`` leaves ``r0..r1`` untouched iff no other
+    ``r`` of that range is congruent modulo ``S``, i.e. ``S >= max(ny -
+    r0, nx + r1)``.  That is ``span``; the two slices never outgrow it
+    (``r0 <= 0 <= r1`` after clipping).
+    """
+    x_start, x_len, y_start, y_len = map(int, (x_start, x_len, y_start, y_len))
+    delta = y_start - x_start
+    d0 = max(0, delta - (x_len - 1))
+    d1 = min(int(max_lag), delta + y_len - 1)
+    if d1 < d0 or x_len <= 0 or y_len <= 0:
+        return FftRowPlan(d0, d1, 0, 0, 0, 0, 0, 0)
+    x_lo = max(x_start, y_start - d1)
+    x_hi = min(x_start + x_len, y_start + y_len - d0)
+    y_lo = max(y_start, x_start + d0)
+    y_hi = min(y_start + y_len, x_start + x_len + d1)
+    shift = y_lo - x_lo
+    span = max((y_hi - y_lo) - (d0 - shift), (x_hi - x_lo) + (d1 - shift))
+    return FftRowPlan(d0, d1, x_lo, x_hi, y_lo, y_hi, span, fft_length(span))
+
+
+def fft_plan_size(n: int, max_lag: int) -> int:
+    """Plan length of the online FFT kernel for an ``n``-quantum block
+    against an aligned block (the diagonal row of a refresh).
+
+    Lags ``0..min(max_lag, n - 1)`` are alias-free at any size ``>= n +
+    min(max_lag, n - 1)``, so a short lag bound roughly halves the
+    transform against the full linear correlation (``2n - 1``).  This is
+    the size of every spectrum the engine caches or ships to shard
+    workers; it is :func:`fft_row_plan`'s plan for that row.
+    """
+    return fft_row_plan(0, n, 0, n, max_lag).size
+
+
 def fft_dispatch_units(n_quanta: int, size: Optional[int] = None) -> float:
     """Dispatch cost units of the FFT batch kernel for one row.
 
@@ -667,9 +734,12 @@ class SpectrumCache:
     """Per-host cache of block ``rfft`` spectra, keyed by block identity.
 
     The online FFT kernel correlates the same reference block against
-    many signal blocks and the same blocks again on the next refresh
-    (overlap-add: only the newest dW block is new work), so spectra are
-    cached across calls and across refreshes.  Keys are
+    many signal blocks, so whole-block spectra are cached across calls.
+    When the lag bound reaches a whole block, cross-block rows transform
+    whole blocks too and older blocks are read again on later refreshes
+    (overlap-add: only the newest dW block is new work); under a shorter
+    bound they transform clipped slices instead, and only the newest
+    block's spectra are ever read again.  Keys are
     ``(id(block), transform size)`` and every entry keeps a strong
     reference to its block, so a block's ``id`` can never be recycled
     while its spectrum is alive.  Spectra are always computed by a single
@@ -677,10 +747,11 @@ class SpectrumCache:
     returns the bitwise-identical array a recompute would produce and
     caching can never change analysis output.
 
-    ``evict_before`` drops entries whose block slid out of the retained
-    window; the engine calls it once per refresh, bounding resident
-    spectra to the live block history (~``(size/2 + 1) * 16`` bytes per
-    cached block).
+    ``evict_before`` drops entries whose block can no longer be read;
+    the engine calls it once per refresh, bounding resident spectra to
+    the live block history, or to the newest blocks under a lag bound
+    shorter than a block (~``(size/2 + 1) * 16`` bytes per cached
+    block).
     """
 
     __slots__ = ("hits", "misses", "_entries")
@@ -712,8 +783,7 @@ class SpectrumCache:
 
     def peek(self, block: SeriesLike, size: int) -> Optional[np.ndarray]:
         """The cached spectrum for ``(block, size)``, or None; never
-        computes and never moves the hit/miss counters (used by the lake
-        to persist warm spectra at block-eviction time)."""
+        computes and never moves the hit/miss counters."""
         entry = self._entries.get((id(block), int(size)))
         return entry[1] if entry is not None else None
 
@@ -743,6 +813,11 @@ class SpectrumCache:
         return len(stale)
 
 
+def _dense_window(series: SeriesLike, lo: int, hi: int) -> np.ndarray:
+    """Dense samples of ``series`` over absolute quanta ``[lo, hi)``."""
+    return _as_sparse(series).restricted(lo, hi - lo).to_dense()
+
+
 def fft_batch_lag_products(
     x: SeriesLike,
     ys: "list[SeriesLike]",
@@ -761,10 +836,16 @@ def fft_batch_lag_products(
     products require.  Lags outside the blocks' overlap support are exact
     zeros, never FFT roundoff read from the padded transform.
 
-    Per-block forward spectra come from ``cache`` when given (each a
-    single 1-D ``rfft``, so cached and fresh spectra are bitwise equal);
-    the inverse transform runs once over the stacked rows.  ``size``
-    shares a precomputed 5-smooth plan length across calls.
+    Both sides are first clipped to the quanta that can pair within
+    ``max_lag`` and transformed at :func:`fft_row_plan`'s alias-free
+    size, so a cross-block row with a lag bound shorter than a block
+    transforms ``max_lag``-long slices, not whole blocks.  Whole-block
+    spectra (every row whose clip keeps both blocks, e.g. the diagonal
+    one) come from ``cache`` when given -- each a single 1-D ``rfft``, so
+    cached and fresh spectra are bitwise equal; clipped slices are not
+    block-keyed and are always transformed afresh.  The inverse
+    transform runs once over the stacked rows.  ``size`` overrides the
+    plan length; a size that would alias a kept lag is an error.
     """
     if max_lag < 0:
         raise CorrelationError(f"max_lag must be non-negative, got {max_lag}")
@@ -784,37 +865,36 @@ def fft_batch_lag_products(
             )
     if x.quantum != head.quantum:
         raise SeriesError(f"quantum mismatch: {x.quantum} vs {head.quantum}")
-    lx = int(x.length)
-    ly = int(head.length)
-    if lx == 0 or ly == 0:
+    plan = fft_row_plan(x.start, x.length, head.start, head.length, max_lag)
+    if plan.size == 0:
         return out
-    # Absolute-lag support of this block pair: a sample pair at lag d
-    # exists iff some x index i and y index j = i + d - (head.start -
-    # x.start relative shift) both fall inside their blocks.
-    delta = int(head.start) - int(x.start)
-    d0 = max(0, delta - (lx - 1))
-    d1 = min(max_lag, delta + ly - 1)
-    if d1 < d0:
-        return out
-    full = lx + ly - 1
     if size is None:
-        size = fft_length(full)
-    elif size < full:
+        size = plan.size
+    elif size < plan.span:
         raise CorrelationError(
-            f"fft size {size} aliases a length-{full} linear correlation"
+            f"fft size {size} aliases lags {plan.d0}..{plan.d1} "
+            f"(needs >= {plan.span})"
         )
     size = int(size)
-    local_cache = cache if cache is not None else SpectrumCache()
-    fx = local_cache.spectrum(x, size)
     spectra = np.empty((num_rows, size // 2 + 1), dtype=np.complex128)
-    for row, y in enumerate(ys):
-        spectra[row] = local_cache.spectrum(y, size)
+    whole = (
+        plan.x_hi - plan.x_lo == x.length and plan.y_hi - plan.y_lo == head.length
+    )
+    if whole:
+        local_cache = cache if cache is not None else SpectrumCache()
+        fx = local_cache.spectrum(x, size)
+        for row, y in enumerate(ys):
+            spectra[row] = local_cache.spectrum(y, size)
+    else:
+        fx = np.fft.rfft(_dense_window(x, plan.x_lo, plan.x_hi), size)
+        for row, y in enumerate(ys):
+            spectra[row] = np.fft.rfft(_dense_window(y, plan.y_lo, plan.y_hi), size)
     prod = np.fft.irfft(np.conj(fx)[None, :] * spectra, size, axis=1)
-    # Relative lag r = d - delta may be negative (x block newer than y);
-    # circular correlation parks negative lags at the tail of the
-    # transform, so gather modulo size.
-    idx = (np.arange(d0, d1 + 1) - delta) % size
-    out[:, d0 : d1 + 1] = prod[:, idx]
+    # Relative lag r = d - (y_lo - x_lo) may be negative (x slice newer
+    # than y); circular correlation parks negative lags at the tail of
+    # the transform, so gather modulo size.
+    idx = (np.arange(plan.d0, plan.d1 + 1) - (plan.y_lo - plan.x_lo)) % size
+    out[:, plan.d0 : plan.d1 + 1] = prod[:, idx]
     return out
 
 

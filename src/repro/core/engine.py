@@ -32,7 +32,7 @@ from repro.core.confidence import (
     ConfidenceReport,
     window_confidence,
 )
-from repro.core.correlation import SpectrumCache, fft_length
+from repro.core.correlation import SpectrumCache, fft_plan_size
 from repro.core.incremental import IncrementalCorrelator, block_is_quiet
 from repro.lake.summaries import BlockSummary
 from repro.core.pathmap import Pathmap, PathmapResult, PathmapStats, class_pairs
@@ -164,8 +164,8 @@ class E2EProfEngine(PipelineCore):
                 "fft_dispatch must be one of auto/off/force, "
                 f"got {self.fft_dispatch!r}"
             )
-        # Cross-refresh cache of block FFT spectra (the overlap-add
-        # increment: only the newest dW block needs a fresh transform).
+        # Cache of whole-block FFT spectra (the overlap-add increment:
+        # only the newest dW block needs a fresh transform).
         self._spectra = SpectrumCache()
         #: When True, every streamed block is round-tripped through the
         #: binary wire format (tracing.wire) before analysis -- proving
@@ -565,18 +565,15 @@ class E2EProfEngine(PipelineCore):
         Returns None unless a lake is attached and the correlators live
         in this process; otherwise a closure that turns each evicted
         ``(reference block, signal block, summed pair-product row)`` into
-        a :class:`~repro.lake.BlockSummary`, grabbing the reference
-        block's cached FFT spectrum when the dense kernel left one warm.
+        a :class:`~repro.lake.BlockSummary`.
         """
         if not self._lake_summaries:
             return None
         lake = self.lake
         client, root = ref_key
         src, dst = edge_key
-        size = fft_length(2 * self._block_quanta - 1)
 
         def hook(old_x, old_y, contribution):
-            spectrum = self._spectra.peek(old_x, size)
             lake.record_summary(
                 BlockSummary(
                     client=client,
@@ -591,8 +588,6 @@ class E2EProfEngine(PipelineCore):
                     y_total=float(old_y.total()),
                     y_energy=float(old_y.energy()),
                     lag_products=contribution,
-                    spectrum=spectrum,
-                    spectrum_size=size if spectrum is not None else None,
                 )
             )
 
@@ -685,8 +680,9 @@ class E2EProfEngine(PipelineCore):
                 # ship it with the blocks: workers seed their caches
                 # instead of re-transforming per shard. spectrum() is a
                 # pure function of (block, size), so seeded entries are
-                # bitwise what the worker would have computed.
-                size = fft_length(2 * self._block_quanta - 1)
+                # bitwise what the worker would have computed -- at the
+                # size the worker's kernel requests for whole blocks.
+                size = fft_plan_size(self._block_quanta, self.config.max_lag_quanta)
                 spectra = {
                     edge: (size, self._spectra.spectrum(block, size))
                     for edge, block in fresh.items()

@@ -53,7 +53,7 @@ from repro.core.correlation import (
     choose_batch_kernel,
     fft_batch_lag_products,
     fft_dispatch_units,
-    fft_length,
+    fft_row_plan,
     rle_dispatch_units,
     sparse_dispatch_units,
 )
@@ -101,10 +101,15 @@ class PipelineCore:
                 self._blocks[edge] = deque_
             deque_.append(fresh.get(edge, empty))
         # Blocks older than the window floor have rotated out of every
-        # deque; their cached FFT spectra can never be used again.
-        self._spectra.evict_before(
-            block_start - (self._num_blocks - 1) * self._block_quanta
-        )
+        # deque; their cached FFT spectra can never be used again. Under a
+        # lag bound shorter than a block, cross-block FFT rows transform
+        # clipped slices rather than cached whole blocks, so only the
+        # newest blocks' spectra can be read again.
+        if self.config.max_lag_quanta < self._block_quanta:
+            floor = block_start
+        else:
+            floor = block_start - (self._num_blocks - 1) * self._block_quanta
+        self._spectra.evict_before(floor)
 
     def _backfilled_deque(
         self, last_start: int, rounds: int
@@ -232,13 +237,12 @@ class PipelineCore:
         sparse_units_total = 0.0
         rle_units_total = 0.0
         fft_mode = self.fft_dispatch
-        fft_size = 0
         fft_units_row: Optional[float] = None
         if fft_mode != "off" and y_blocks:
-            # One shared 5-smooth plan length for the whole group: every
-            # member block covers the same window as the head block.
-            fft_size = fft_length(int(x_block.length) + int(y_blocks[0].length) - 1)
-            fft_units_row = fft_dispatch_units(int(y_blocks[0].length), fft_size)
+            # The routing model prices a row at the full linear
+            # correlation of its (equal-length) blocks, whatever the
+            # kernel then clips.
+            fft_units_row = fft_dispatch_units(int(y_blocks[0].length))
         for i, (y_block, ys) in enumerate(zip(y_blocks, ys_sparse)):
             if fft_mode == "force":
                 fft_rows.append(i)
@@ -264,7 +268,6 @@ class PipelineCore:
                 x_block,
                 [y_blocks[i] for i in fft_rows],
                 max_lag,
-                size=fft_size or None,
                 cache=self._spectra,
             )
             full_fft: Optional[np.ndarray] = None
@@ -274,17 +277,26 @@ class PipelineCore:
                 for r, i in enumerate(fft_rows):
                     rows[i] = mat_fft[r]
             if record is not None:
-                # Dense samples transformed: 8 bytes per quantum of the x
-                # block plus every routed y block (spectra cache hits skip
-                # the transform but still read the padded product row).
+                # What the kernel actually transformed: its per-row plan
+                # size, and 8 bytes per dense quantum of the clipped x
+                # slice plus every routed row's clipped y slice (spectra
+                # cache hits skip the transform but still read the row).
+                head = y_blocks[0]
+                plan = fft_row_plan(
+                    x_block.start, x_block.length, head.start, head.length, max_lag
+                )
                 record(
                     KERNEL_FFT_BATCH,
                     rows=len(fft_rows),
                     seconds=time.perf_counter() - fft_started,
-                    work_units=(fft_units_row or 0.0) * len(fft_rows),
+                    work_units=(
+                        fft_dispatch_units(int(head.length), plan.size) * len(fft_rows)
+                        if plan.size
+                        else 0.0
+                    ),
                     bytes_touched=8 * (
-                        int(x_block.length)
-                        + int(y_blocks[0].length) * len(fft_rows)
+                        (plan.x_hi - plan.x_lo)
+                        + (plan.y_hi - plan.y_lo) * len(fft_rows)
                     ),
                 )
             if full_fft is not None:

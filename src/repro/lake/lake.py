@@ -20,13 +20,12 @@ so concurrent readers keep valid mappings throughout.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -99,10 +98,6 @@ class TraceLake:
         self._buffers: Dict[StreamKey, List[np.ndarray]] = {}
         self._buffer_bytes: Dict[StreamKey, int] = {}
         self._pending_summaries: List[BlockSummary] = []
-        # One persisted spectrum per (class, block): the same reference
-        # block pairs with many signal edges, but its rfft is identical
-        # across them.
-        self._spectra_seen: Set[Tuple[str, str, int]] = set()
         self.segments_written = 0
         self.spilled_records = 0
         self.spilled_bytes = 0
@@ -226,14 +221,6 @@ class TraceLake:
     def record_summary(self, summary: BlockSummary) -> None:
         """Buffer one materialized correlation summary row."""
         with self._lock:
-            if summary.spectrum is not None:
-                spec_key = (summary.client, summary.root, summary.block_start)
-                if spec_key in self._spectra_seen:
-                    summary = dataclasses.replace(
-                        summary, spectrum=None, spectrum_size=None
-                    )
-                else:
-                    self._spectra_seen.add(spec_key)
             self._pending_summaries.append(summary)
             if len(self._pending_summaries) >= self.summary_rows:
                 self._cut_summaries()

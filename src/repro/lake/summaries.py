@@ -4,8 +4,7 @@ When the sliding-window correlator evicts its oldest block, the block's
 contribution to the window aggregate -- the sum of every cached
 lag-product vector involving it -- is about to be subtracted and lost.
 The engine instead hands that row (plus the block's marginal mass/energy
-statistics and, when the FFT kernel left one warm, the block's cached
-spectrum) to the lake as a :class:`BlockSummary`, keyed by the service
+statistics) to the lake as a :class:`BlockSummary`, keyed by the service
 class and edge it belongs to.
 
 Folding summaries answers drift questions over arbitrary past spans by
@@ -21,7 +20,9 @@ is why summary folds are meant for spans much longer than ``T_u`` (the
 week-vs-Monday questions), not single-window forensics.
 
 Arrays are serialized as base64 of their little-endian bytes, so a
-summary round-trips bit-exactly through JSON.
+summary round-trips bit-exactly through JSON.  Rows written by older
+versions may also carry a ``spectrum``/``spectrum_size`` pair; readers
+ignore it.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ class BlockSummary:
     ``lag_products`` is the block's summed pair-product row
     (``None`` for a quiet block: identically zero, but its length and
     zero masses still count toward the fold's normalization).
-    ``spectrum`` carries the block's cached ``rfft`` when the engine's
-    :class:`~repro.core.correlation.SpectrumCache` was warm at eviction.
     """
 
     client: str
@@ -78,8 +77,6 @@ class BlockSummary:
     y_total: float
     y_energy: float
     lag_products: Optional[np.ndarray] = None
-    spectrum: Optional[np.ndarray] = None
-    spectrum_size: Optional[int] = None
 
     @property
     def t_min(self) -> float:
@@ -109,9 +106,6 @@ class BlockSummary:
         }
         if self.lag_products is not None:
             doc["lag_products"] = _encode_array(self.lag_products, "<f8")
-        if self.spectrum is not None:
-            doc["spectrum"] = _encode_array(self.spectrum, "<c16")
-            doc["spectrum_size"] = int(self.spectrum_size or 0)
         return doc
 
     @classmethod
@@ -133,14 +127,6 @@ class BlockSummary:
                     _decode_array(data["lag_products"], "<f8")
                     if "lag_products" in data
                     else None
-                ),
-                spectrum=(
-                    _decode_array(data["spectrum"], "<c16")
-                    if "spectrum" in data
-                    else None
-                ),
-                spectrum_size=(
-                    int(data["spectrum_size"]) if "spectrum_size" in data else None
                 ),
             )
         except (KeyError, TypeError, ValueError) as exc:

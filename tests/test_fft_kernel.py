@@ -12,6 +12,10 @@ cross-correlation):
 * Overlap-add increments: a sliding correlator fed per-block FFT pair
   vectors equals a full-window recompute -- the invariant that lets the
   online engine do only the newest dW block's work per refresh.
+* Lag-bounded plans: rows are clipped to the quanta lags ``0..max_lag``
+  can reach and transformed at the smallest alias-free size, for every
+  lag bound below, at and above the block length, and one size less
+  aliases.
 * The :class:`SpectrumCache` is transparent -- hits return bitwise the
   array a recompute would -- and the three-way ``choose_batch_kernel``
   routes by the modeled cost frontier.
@@ -41,12 +45,15 @@ from repro.core.correlation import (
     fft_dispatch_units,
     fft_length,
     fft_lag_products,
+    fft_plan_size,
+    fft_row_plan,
     rle_dispatch_units,
     sparse_dispatch_units,
     sparse_lag_products,
 )
 from repro.core.engine import E2EProfEngine
 from repro.core.incremental import IncrementalCorrelator
+from repro.core.rle import rle_encode
 from repro.core.timeseries import DensityTimeSeries
 from repro.errors import AnalysisError, ConfigError, CorrelationError
 from repro.obs.ledger import KERNEL_FFT_BATCH
@@ -221,6 +228,163 @@ class TestFftBatchLagProducts:
         mat = fft_batch_lag_products(series([1.0, 2.0]), [], 3)
         assert mat.shape == (0, 4)
         assert not np.any(mat)
+
+
+#: 5-smooth lengths, for geometries whose alias-free span is itself a
+#: plan size (so one sample shorter must alias).
+SMOOTH = [m for m in range(16, 400) if fft_length(m) == m]
+
+
+class TestLagBoundedPlan:
+    """The kernel clips each row to the support ``max_lag`` can reach
+    (the paper's ``T_u`` bound) and plans the smallest alias-free
+    transform for exactly those lags."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 80),
+        bound=st.sampled_from(["below", "edge", "above"]),
+        lag_frac=st.floats(0.0, 1.0),
+        blocks_older=st.sampled_from([-1, 0, 1, 2]),
+        misalign=st.sampled_from([0.0, 0.0, -0.3, 0.45]),
+        rows=st.integers(1, 3),
+    )
+    def test_clipped_rows_match_sparse_kernel(
+        self, seed, n, bound, lag_frac, blocks_older, misalign, rows
+    ):
+        """``max_lag`` < N, = N - 1 and >= N; x one or two blocks older
+        than y, the diagonal row, and x newer than y -- on block
+        boundaries and off them."""
+        if bound == "below":
+            lag = int(lag_frac * (n - 2))
+        elif bound == "edge":
+            lag = n - 1
+        else:
+            lag = n + int(lag_frac * 2 * n)
+        rng = np.random.default_rng(seed)
+        quarter = lambda: rng.integers(0, 12, size=n) * (rng.random(n) < 0.5) / 4.0
+        y_start = 1000
+        x = series(quarter(), start=y_start - blocks_older * n + int(misalign * n))
+        ys = [series(quarter(), start=y_start) for _ in range(rows)]
+        mat = fft_batch_lag_products(x, ys, lag)
+        assert mat.shape == (rows, lag + 1)
+        for row, y in enumerate(ys):
+            np.testing.assert_allclose(
+                mat[row], sparse_lag_products(x, y, lag),
+                err_msg=f"row {row}", **FFT_TOL,
+            )
+
+    @given(n=st.integers(1, 5000), lag=st.integers(0, 12_000))
+    def test_whole_block_plan_is_fft_plan_size(self, n, lag):
+        plan = fft_row_plan(0, n, 0, n, lag)
+        assert (plan.x_lo, plan.x_hi, plan.y_lo, plan.y_hi) == (0, n, 0, n)
+        assert plan.span == n + min(lag, n - 1)
+        assert plan.size == fft_plan_size(n, lag) == fft_length(plan.span)
+
+    def test_cross_block_row_keeps_only_lag_reach(self):
+        """The RUBiS paper geometry: 60,000-quantum blocks, max_lag 2,000.
+        The older x block's tail and the newer y block's head are all
+        that pair, and a 4,000-point plan replaces 120,000."""
+        n, lag = 60_000, 2_000
+        plan = fft_row_plan(0, n, n, n, lag)
+        assert (plan.d0, plan.d1) == (1, lag)
+        assert (plan.x_lo, plan.x_hi) == (n - lag, n)
+        assert (plan.y_lo, plan.y_hi) == (n, n + lag)
+        assert plan.size == fft_length(2 * lag - 1) == 4000
+        assert fft_plan_size(n, lag) == fft_length(n + lag) < fft_length(2 * n - 1)
+
+    def test_lag_bound_at_block_length_changes_nothing(self):
+        """``max_lag >= N``: clipping keeps whole blocks and the plan is
+        the full linear correlation's, as before lag-bounded plans."""
+        n = 2000
+        for lag in (n, n + 1, 3 * n):
+            for start in (n, 0):
+                plan = fft_row_plan(0, n, start, n, lag)
+                assert (plan.x_hi - plan.x_lo, plan.y_hi - plan.y_lo) == (n, n)
+                assert plan.size == fft_length(2 * n - 1)
+
+    def test_unreachable_rows_plan_nothing(self):
+        assert fft_row_plan(0, 100, 300, 100, 150).size == 0  # two blocks older
+        assert fft_row_plan(100, 100, 0, 100, 50).size == 0  # x newer
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 1000))
+    def test_one_below_fft_plan_size_aliases(self, data, seed):
+        """A diagonal row whose alias-free span ``N + min(L, N - 1)`` is
+        5-smooth: ``fft_plan_size - 1`` is rejected, the size itself
+        matches the exact kernel."""
+        span = data.draw(st.sampled_from(SMOOTH))
+        n = data.draw(st.integers((span + 2) // 2, span - 1))  # lag <= n - 1
+        lag = span - n
+        if lag == n - 1:
+            lag = data.draw(st.integers(n - 1, 2 * n))
+        assert fft_plan_size(n, lag) == span
+        rng = np.random.default_rng(seed)
+        x = series(rng.integers(0, 8, size=n) / 4.0, start=50)
+        y = series(rng.integers(0, 8, size=n) / 4.0, start=50)
+        with pytest.raises(CorrelationError):
+            fft_batch_lag_products(x, [y], lag, size=span - 1)
+        np.testing.assert_allclose(
+            fft_batch_lag_products(x, [y], lag, size=span)[0],
+            sparse_lag_products(x, y, lag), **FFT_TOL,
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        n=st.integers(4, 64),
+        lag_frac=st.floats(0.0, 1.0),
+        blocks_older=st.sampled_from([0, 1]),
+    )
+    def test_clipped_span_is_the_alias_bound(self, seed, n, lag_frac, blocks_older):
+        """For any row, cross-block (clipped) included: one sample under
+        the planned span aliases, the span itself is exact."""
+        lag = 1 + int(lag_frac * (n - 2))
+        rng = np.random.default_rng(seed)
+        x = series(rng.integers(1, 8, size=n) / 4.0, start=n * (2 - blocks_older))
+        y = series(rng.integers(1, 8, size=n) / 4.0, start=2 * n)
+        plan = fft_row_plan(int(x.start), n, int(y.start), n, lag)
+        with pytest.raises(CorrelationError):
+            fft_batch_lag_products(x, [y], lag, size=plan.span - 1)
+        np.testing.assert_allclose(
+            fft_batch_lag_products(x, [y], lag, size=plan.span)[0],
+            sparse_lag_products(x, y, lag), **FFT_TOL,
+        )
+
+    def test_clipped_rows_bypass_the_block_cache(self):
+        n, lag = 40, 10
+        x = series(np.arange(n, dtype=float), start=0)
+        y = series(np.arange(n, dtype=float), start=n)
+        cache = SpectrumCache()
+        fft_batch_lag_products(x, [y], lag, cache=cache)
+        assert len(cache) == 0 and cache.misses == 0
+        fft_batch_lag_products(y, [y], lag, cache=cache)  # diagonal row
+        assert len(cache) == 1 and cache.misses == 1 and cache.hits == 1
+
+
+class TestFftLedgerRows:
+    def test_ledger_counts_what_the_kernel_transforms(self):
+        """The ``fft_batch`` ledger row reports the clipped lengths and
+        per-row plan size, not the full blocks (DENSE_CFG: 2,000-quantum
+        blocks, max_lag 1,000)."""
+        n, lag = DENSE_CFG.refresh_quanta, DENSE_CFG.max_lag_quanta
+        engine = E2EProfEngine(DENSE_CFG, fft_dispatch="force")
+        rng = np.random.default_rng(5)
+        block = lambda start: rle_encode(series(rng.integers(0, 3, size=n), start))
+        ys = [block(n), block(n)]
+        ys_sparse = [y.to_sparse() for y in ys]
+        cases = [
+            (block(0), lag, fft_length(2 * lag - 1)),  # cross-block row
+            (block(n), n, fft_plan_size(n, lag)),  # diagonal row
+        ]
+        for x_block, clipped, size in cases:
+            engine.ledger.begin_refresh()
+            engine._group_vectors(x_block, ys, ys_sparse, lag)
+            rows, _, units, nbytes = engine.ledger.kernel_tallies()[KERNEL_FFT_BATCH]
+            assert rows == 2
+            assert units == 2 * fft_dispatch_units(n, size)
+            assert nbytes == 8 * (clipped + 2 * clipped)
 
 
 class TestSpectrumCache:
@@ -470,6 +634,50 @@ class TestEngineFftDispatch:
         # blocks and a 6 s window no more than 3 blocks per series side
         # stay resident, so the cache cannot grow with run length.
         assert len(cache) <= 4 * (engine._num_blocks + 1) * 10
+
+
+class TestShippedSpectraPlan:
+    """The spectra a sharded engine ships are the ones worker kernels
+    request, under a lag bound shorter than a block (DENSE_CFG: 2,000-
+    quantum blocks, max_lag 1,000), so seeded worker caches are hit
+    rather than silently recomputed at another size."""
+
+    def test_shipped_size_is_the_requested_size(self, monkeypatch):
+        from repro.core.shards import ShardedAnalysis
+
+        n, lag = DENSE_CFG.refresh_quanta, DENSE_CFG.max_lag_quanta
+        assert lag < n
+        requested = set()
+        real_spectrum = SpectrumCache.spectrum
+
+        def spy_spectrum(cache, block, size):
+            requested.add(int(size))
+            return real_spectrum(cache, block, size)
+
+        monkeypatch.setattr(SpectrumCache, "spectrum", spy_spectrum)
+        kwargs = dict(end_time=12.0, fft_dispatch="force")
+        serial, s_samples = run_dense_engine(**kwargs)
+        assert requested == {fft_plan_size(n, lag)}
+        # Under the bound only the newest blocks' spectra stay resident.
+        newest = max(blocks[-1].start for blocks in serial._blocks.values())
+        assert serial._spectra.evict_before(newest) == 0
+
+        shipped = set()
+        real_dispatch = ShardedAnalysis.dispatch
+
+        def spy_dispatch(self, *args, spectra=None, **kw):
+            shipped.update(size for size, _ in (spectra or {}).values())
+            return real_dispatch(self, *args, spectra=spectra, **kw)
+
+        monkeypatch.setattr(ShardedAnalysis, "dispatch", spy_dispatch)
+        procs, p_samples = run_dense_engine(shards=2, **kwargs)
+        assert shipped == {fft_plan_size(n, lag)}
+        graphs = lambda e: {k: g.to_dict() for k, g in e.latest_result.graphs.items()}
+        assert graphs(procs) == graphs(serial)
+        assert len(p_samples) == len(s_samples)
+        for s, o in zip(s_samples, p_samples):
+            assert s.correlations == o.correlations
+            assert s.spikes == o.spikes
 
 
 class TestFftDispatchPlumbing:

@@ -17,6 +17,7 @@ contracts hammered here:
   materializes summaries whose folds agree with raw replays.
 """
 
+import base64
 import json
 import tempfile
 import threading
@@ -507,7 +508,6 @@ class TestSummaries:
             x_total=0.0 if quiet else 4.0, x_energy=0.0 if quiet else 6.0,
             y_total=0.0 if quiet else 4.0, y_energy=0.0 if quiet else 6.0,
             lag_products=None if quiet else np.asarray(lag, dtype=np.float64),
-            spectrum=None, spectrum_size=None,
         )
 
     def test_round_trip_dict(self):
@@ -515,6 +515,19 @@ class TestSummaries:
         clone = BlockSummary.from_dict(summary.to_dict())
         assert clone.block_start == 0
         assert np.array_equal(clone.lag_products, summary.lag_products)
+
+    def test_rows_with_a_spectrum_key_still_load(self):
+        """Older summary files persisted a reference-block spectrum next
+        to the lag products; the decoder ignores it."""
+        summary = self._summary(0, [1.0, 2.0, 3.0])
+        doc = summary.to_dict()
+        assert "spectrum" not in doc and "spectrum_size" not in doc
+        old = np.fft.rfft(np.arange(4.0), 8)
+        doc["spectrum"] = base64.b64encode(old.astype("<c16").tobytes()).decode("ascii")
+        doc["spectrum_size"] = 8
+        clone = BlockSummary.from_dict(doc)
+        assert np.array_equal(clone.lag_products, summary.lag_products)
+        assert not hasattr(clone, "spectrum")
 
     def test_fold_requires_rows(self):
         from repro.errors import CorrelationError
